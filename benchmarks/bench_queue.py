@@ -31,19 +31,12 @@ def test_queue_tx_vs_locks(benchmark):
     print(f"locks: {lock_result.throughput * 1000:.2f}  "
           f"TBEGINC: {tx_result.throughput * 1000:.2f}  "
           f"ratio {ratio:.2f}x (paper: ~2x)")
-    # Event-composition readout (materialized vs virtual vs
-    # fast-forwarded scheduler events) for each run, so perf work can
-    # see how much placeholder churn each mode leaves behind.
+    # Scheduler event readout for each run, so perf work can see how
+    # many events each mode schedules.
     for label, result in (("locks", lock_result), ("TBEGINC", tx_result)):
-        sched = result.sched or {}
-        events = sched.get("events", 0)
-        virtual = sched.get("virtual_events", 0)
-        fast_fwd = sched.get("fast_forwarded_events", 0)
-        print(f"{label}: {events} events, {events - virtual} materialized, "
-              f"{virtual} virtual, {fast_fwd} fast-forwarded")
+        events = (result.sched or {}).get("events", 0)
+        print(f"{label}: {events} events")
         benchmark.extra_info[f"{label}_events"] = events
-        benchmark.extra_info[f"{label}_virtual_events"] = virtual
-        benchmark.extra_info[f"{label}_fast_forwarded_events"] = fast_fwd
     # Constrained transactions beat the lock by roughly a factor of 2.
     assert ratio > 1.5
     benchmark.extra_info["ratio"] = ratio

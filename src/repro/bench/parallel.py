@@ -44,6 +44,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.footprint import resolve_policy_spec
+from ..cpu.interpreter import resolve_spin_elide
 from ..params import MachineParams, ZEC12
 from ..stm import resolve_fallback_mode
 from ..serve.store import atomic_write_json, read_json_payload
@@ -130,14 +131,14 @@ def result_from_payload(payload: Dict[str, Any]) -> Any:
 #: keys carry the *resolved* policy spec; v6: hybrid-TM fallback modes —
 #: ``CpuResult`` grows ``sw_committed``/``sw_aborted`` and keys carry the
 #: *resolved* fallback mode; v7: virtual sequence numbering — the
-#: ``SimResult.sched`` block gains the event-composition split and its
-#: counters depend on the resolved ``$REPRO_VIRTSEQ`` mode, which the
-#: keys carry explicitly).
+#: ``SimResult.sched`` block gains the event-composition split; v8: that
+#: split is gone again, and keys carry the resolved spin-elide mode,
+#: on which the ``SimResult.sched`` counters depend).
 #: Bumped whenever the stored-result format or the memory/store-cache
 #: semantics change in a way the source hash alone should not be trusted
 #: to catch (e.g. a rename-only refactor that keeps byte-identical
 #: sources elsewhere, or an external cache shared across checkouts).
-DATA_PLANE_VERSION = 7
+DATA_PLANE_VERSION = 8
 
 _CODE_VERSION: Optional[str] = None
 
@@ -197,10 +198,10 @@ def task_key(kind: str, experiment: Any, params: MachineParams,
     without this, a cache written under one policy would be served to
     runs under another. The resolved hybrid-TM fallback mode is keyed
     the same way (``$REPRO_FALLBACK_MODE``). The resolved
-    ``$REPRO_VIRTSEQ`` mode is keyed too: the architected result is
-    bit-identical either way, but the ``SimResult.sched``
-    event-composition counters are not, so an entry written under one
-    mode must never satisfy a run observing the other.
+    ``$REPRO_SPIN_ELIDE`` mode is keyed too: the architected result is
+    bit-identical either way, but the ``SimResult.sched`` counters
+    (events, parks, spin steps, ...) are not, so an entry written under
+    one mode must never satisfy a run observing the other.
     """
     blob = json.dumps(
         {
@@ -209,7 +210,7 @@ def task_key(kind: str, experiment: Any, params: MachineParams,
             "params": asdict(params),
             "footprint_policy": resolve_policy_spec(params),
             "fallback_mode": resolve_fallback_mode(params),
-            "virtseq": os.environ.get("REPRO_VIRTSEQ", "1") != "0",
+            "spin_elide": resolve_spin_elide(),
             "code": code_version(),
             "data_plane": DATA_PLANE_VERSION,
             "python": f"{sys.version_info[0]}.{sys.version_info[1]}",

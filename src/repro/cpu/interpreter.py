@@ -44,6 +44,14 @@ from .isa import Instruction, Mem
 from .registers import MASK64, RegisterFile
 
 
+def resolve_spin_elide(spin_elide: Optional[bool] = None) -> bool:
+    """The effective spin/retry-elision switch: an explicit argument
+    wins, else ``REPRO_SPIN_ELIDE=0`` turns elision off (default on)."""
+    if spin_elide is not None:
+        return spin_elide
+    return os.environ.get("REPRO_SPIN_ELIDE", "1") != "0"
+
+
 class _Decoded:
     """One pre-decoded program location.
 
@@ -131,7 +139,7 @@ class _ParkedSpin:
     """Placeholder state for a parked spinner's heap events.
 
     While parked, the CPU's event chain stays in the scheduler's heap —
-    each pop advances ``pos``/``steps``/``loads`` arithmetically through
+    each pop advances ``pos``/``steps`` arithmetically through
     the certified ``(ias, lats)`` cycle instead of calling ``step()``, so
     event times, push moments, and heap sequence numbers are exactly
     those of the non-elided run (same-cycle ties resolve identically).
@@ -141,15 +149,14 @@ class _ParkedSpin:
     #: latency cycle, not the retry tick.
     is_retry = False
 
-    __slots__ = ("line", "block", "period", "ias", "lats", "states",
-                 "load_pos", "count", "nxt", "pos", "steps")
+    __slots__ = ("line", "block", "ias", "lats", "states", "load_pos",
+                 "count", "pos", "steps")
 
-    def __init__(self, line: int, block: int, period: int, ias: List[int],
+    def __init__(self, line: int, block: int, ias: List[int],
                  lats: List[int], states: list, load_pos: int,
                  count: int) -> None:
         self.line = line
         self.block = block
-        self.period = period
         #: Unrotated iteration: ``ias[0]`` is the head; ``lats[j]`` is the
         #: latency of instruction j.
         self.ias = ias
@@ -159,10 +166,6 @@ class _ParkedSpin:
         self.states = states
         self.load_pos = load_pos
         self.count = count
-        #: Successor-position table: ``nxt[j]`` is the cyclic j + 1 —
-        #: the scheduler's per-event advance indexes it instead of
-        #: branching on the wrap.
-        self.nxt = list(range(1, count)) + [0]
         #: Next instruction index in the cycle and the elided
         #: instruction count accumulated so far. Watched-line loads are
         #: not tracked per event: consumption positions are strictly
@@ -290,12 +293,9 @@ class IsaCpu:
         self._branch_tuple: Dict[int, tuple] = {}
         #: Spin-wait elision master switch (``REPRO_SPIN_ELIDE=0``
         #: disables detection, parking and batching; an explicit argument
-        #: overrides the environment — the REPRO_SPIN_CHECK reference run
-        #: uses that).
-        self.spin_elide = (
-            spin_elide if spin_elide is not None
-            else os.environ.get("REPRO_SPIN_ELIDE", "1") != "0"
-        )
+        #: overrides the environment — the REPRO_CHECK reference run uses
+        #: that).
+        self.spin_elide = resolve_spin_elide(spin_elide)
         #: Effective elision flag: armed by the scheduler (via
         #: :meth:`configure_spin_elide`) only when no per-step hooks
         #: (interrupt injection, schedule jitter) are installed. Off by
@@ -777,8 +777,7 @@ class IsaCpu:
         for i in range(n - 1):
             ias.append(steps[i][0])
             lats.append(steps[i][1])
-        period = sum(lats)
-        if period <= 0:
+        if sum(lats) <= 0:
             return False
         load_pos = ias.index(cand.load_ia)
         # The load's effective address comes from the register state at
@@ -800,7 +799,7 @@ class IsaCpu:
             # certified latencies.
             return False
         rec = _ParkedSpin(
-            line, block, period, ias, lats, sp.park_states, load_pos, n,
+            line, block, ias, lats, sp.park_states, load_pos, n,
         )
         # Parked at the instruction after the head: the head of the
         # certifying iteration has already executed.

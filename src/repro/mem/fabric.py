@@ -169,10 +169,11 @@ class CoherenceFabric:
         #: line (ownership transfer, XI, private/shared-cache eviction or
         #: install) calls :meth:`probe_invalidate` for that line; see the
         #: call sites below and ``TxEngine._abort_now``. With
-        #: ``REPRO_PROBE_CHECK=1`` in the environment every cache hit is
-        #: re-verified against a fresh computation (used by the tests).
+        #: ``REPRO_CHECK=1`` in the environment every cache hit is
+        #: re-verified against a fresh computation (see
+        #: :meth:`repro.sim.machine.Machine.run`).
         self._probe_cache: Dict[int, Dict[Tuple[int, bool], int]] = {}
-        self._probe_check = bool(os.environ.get("REPRO_PROBE_CHECK"))
+        self._probe_check = os.environ.get("REPRO_CHECK") == "1"
         #: Spin-watch registry (see :class:`~repro.mem.xi.LineWatchTable`)
         #: and the scheduler's wake callback (wired by the machine). Both
         #: maps are empty unless spin elision has actually parked a CPU,

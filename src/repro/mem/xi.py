@@ -127,17 +127,9 @@ class LineWatchTable:
             if not cpus:
                 del self.retry_by_block[watched[1]]
 
-    def describe(self, cpu: int, off_queue: bool = False) -> Optional[str]:
+    def describe(self, cpu: int) -> Optional[str]:
         """One-line diagnostic for a parked CPU's registration, or None
-        if the CPU watches nothing in either role.
-
-        ``off_queue=True`` marks a waiter whose pending scheduler event
-        is currently de-materialized (virtual sequence numbering keeps
-        parked chains out of the event queue entirely) — the deadlock
-        diagnostic still names the watched block either way, because
-        this table, not the event queue, is the ground truth for what a
-        parked CPU is waiting on.
-        """
+        if the CPU watches nothing in either role."""
         watched = self.by_cpu.get(cpu)
         role = "parked"
         if watched is None:
@@ -146,8 +138,4 @@ class LineWatchTable:
         if watched is None:
             return None
         line, block = watched
-        tail = ", head off-queue" if off_queue else ""
-        return (
-            f"cpu {cpu} {role} on block 0x{block:x} "
-            f"(line 0x{line:x}{tail})"
-        )
+        return f"cpu {cpu} {role} on block 0x{block:x} (line 0x{line:x})"

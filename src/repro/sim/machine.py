@@ -60,16 +60,11 @@ class Machine:
         params: MachineParams = ZEC12,
         external_interrupt_interval: Optional[int] = None,
         spin_elide: Optional[bool] = None,
-        virtseq: Optional[bool] = None,
     ) -> None:
         self.params = params
         #: Per-machine override for spin-wait elision (None = honour the
         #: ``REPRO_SPIN_ELIDE`` environment variable, the default).
         self.spin_elide = spin_elide
-        #: Per-machine override for virtual sequence numbering (None =
-        #: honour ``REPRO_VIRTSEQ``, default on — see
-        #: :mod:`repro.sim.scheduler`).
-        self.virtseq = virtseq
         self.memory = MainMemory()
         self.page_table = PageTable()
         self.fabric = CoherenceFabric(params)
@@ -85,7 +80,7 @@ class Machine:
         self.schedule_perturb: Optional[Callable[[int, int], int]] = None
         self._next_interrupt: List[int] = []
         #: Programs attached via :meth:`add_program` (None for custom
-        #: drivers) — lets ``REPRO_SPIN_CHECK=1`` rebuild a reference run.
+        #: drivers) — lets ``REPRO_CHECK=1`` rebuild a reference run.
         self._programs: List[Optional[Program]] = []
 
     # ------------------------------------------------------------------
@@ -162,28 +157,21 @@ class Machine:
             self.engines[index].external_interruption()
 
     def run(self, max_cycles: Optional[int] = None) -> SimResult:
-        """Run all drivers to completion; returns the collected results."""
+        """Run all drivers to completion; returns the collected results.
+
+        With ``REPRO_CHECK=1`` in the environment, a run of assembled
+        programs with elision enabled is replayed on a reference machine
+        and compared (see :meth:`_reference_check`); the same switch
+        makes every fabric re-verify its probe-memo hits.
+        """
         if not self.drivers:
             raise ConfigurationError("no CPUs attached to the machine")
         check = (
-            (
-                os.environ.get("REPRO_SPIN_CHECK") == "1"
-                or os.environ.get("REPRO_RETRY_CHECK") == "1"
-            )
+            os.environ.get("REPRO_CHECK") == "1"
             and self.spin_elide is not False
             and all(p is not None for p in self._programs)
         )
-        virt_on = (
-            self.virtseq
-            if self.virtseq is not None
-            else os.environ.get("REPRO_VIRTSEQ") != "0"
-        )
-        vcheck = (
-            os.environ.get("REPRO_VIRTSEQ_CHECK") == "1"
-            and virt_on
-            and all(p is not None for p in self._programs)
-        )
-        if check or vcheck:
+        if check:
             import copy
 
             ref_perturb = copy.deepcopy(self.schedule_perturb)
@@ -193,16 +181,7 @@ class Machine:
                 page: bytearray(data)
                 for page, data in self.memory._pages.items()
             }
-            if check and vcheck:
-                # Each check rebuilds its own reference machine from the
-                # snapshots; keep them independent.
-                ref_pages_v = {
-                    page: bytearray(data) for page, data in ref_pages.items()
-                }
-                ref_perturb_v = copy.deepcopy(self.schedule_perturb)
-            elif vcheck:
-                ref_pages_v, ref_perturb_v = ref_pages, ref_perturb
-        self.scheduler = Scheduler(self.drivers, virtseq=self.virtseq)
+        self.scheduler = Scheduler(self.drivers)
         # The hook is a per-step no-op without interrupt pressure — leave
         # it unset so the scheduler's inner loop skips it entirely.
         if self.external_interrupt_interval:
@@ -233,31 +212,23 @@ class Machine:
                 "heap_elided_steps": sched.stats_heap_elided_steps,
                 "pushpop_fusions": sched.stats_pushpop_fusions,
                 "broadcast_stops": sched.stats_broadcast_stops,
-                "calendar_resizes": sched.stats_calendar_resizes,
-                "bucket_max_occupancy": sched.stats_bucket_max_occupancy,
-                "virtual_events": sched.stats_virtual_events,
-                "fast_forwarded_events": sched.stats_fast_forwarded_events,
-                "queue_switches": sched.stats_queue_switches,
             },
         )
         if check:
-            self._spin_check(result, ref_perturb, ref_pages, max_cycles)
-        if vcheck:
-            self._virtseq_check(result, ref_perturb_v, ref_pages_v,
-                                max_cycles)
+            self._reference_check(result, ref_perturb, ref_pages, max_cycles)
         return result
 
-    def _spin_check(
+    def _reference_check(
         self,
         result: SimResult,
         ref_perturb: Optional[Callable[[int, int], int]],
         ref_pages,
         max_cycles: Optional[int],
     ) -> None:
-        """``REPRO_SPIN_CHECK=1`` / ``REPRO_RETRY_CHECK=1``: replay the
-        run with spin-wait and retry-storm elision forced off and assert
-        the architected outcome is bit-identical — cycles, per-CPU
-        statistics, intervals and final memory contents.
+        """``REPRO_CHECK=1``: replay the run with spin-wait and
+        retry-storm elision forced off and assert the architected
+        outcome is bit-identical — cycles, per-CPU statistics, intervals
+        and final memory contents.
 
         The reference machine is built with ``spin_elide=False`` (the
         master switch for both parking mechanisms), which also keeps it
@@ -295,72 +266,6 @@ class Machine:
             )
             raise ProtocolError(
                 "spin-elision divergence: final memory differs on "
-                f"page(s) {diff}"
-            )
-
-    #: Scheduler counters that must be bit-identical between the virtual
-    #: and materialized paths: everything semantic. Queue-implementation
-    #: counters (pushpop_fusions, calendar_resizes, bucket_max_occupancy,
-    #: queue_switches) and the virtual/fast-forward composition itself
-    #: legitimately differ between the two drains.
-    _VIRTSEQ_SCHED_KEYS = (
-        "parks", "wakes", "retry_parks", "retry_wakes", "retry_ticks",
-        "spin_steps", "events", "heap_elides", "heap_elided_steps",
-        "broadcast_stops",
-    )
-
-    def _virtseq_check(
-        self,
-        result: SimResult,
-        ref_perturb: Optional[Callable[[int, int], int]],
-        ref_pages,
-        max_cycles: Optional[int],
-    ) -> None:
-        """``REPRO_VIRTSEQ_CHECK=1``: replay the run with virtual
-        sequence numbering forced off (the fully materialized event
-        queue) and assert the outcome is bit-identical — the architected
-        result, the final memory contents, and every semantic scheduler
-        counter."""
-        ref = Machine(
-            self.params,
-            external_interrupt_interval=self.external_interrupt_interval,
-            spin_elide=self.spin_elide,
-            virtseq=False,
-        )
-        for program in self._programs:
-            ref.add_program(program)
-        ref.memory._pages.update(ref_pages)
-        ref.schedule_perturb = ref_perturb
-        ref_result = ref.run(max_cycles=max_cycles)
-        if ref_result != result:
-            raise ProtocolError(
-                "virtual-seq divergence: virtual run "
-                f"{result!r} != materialized reference {ref_result!r}"
-            )
-        for key in self._VIRTSEQ_SCHED_KEYS:
-            if result.sched[key] != ref_result.sched[key]:
-                raise ProtocolError(
-                    f"virtual-seq divergence: sched[{key!r}] "
-                    f"{result.sched[key]} != materialized "
-                    f"{ref_result.sched[key]}"
-                )
-        mine = {
-            page: bytes(data)
-            for page, data in self.memory._pages.items()
-            if any(data)
-        }
-        theirs = {
-            page: bytes(data)
-            for page, data in ref.memory._pages.items()
-            if any(data)
-        }
-        if mine != theirs:
-            diff = sorted(
-                set(mine) ^ set(theirs)
-                | {p for p in set(mine) & set(theirs) if mine[p] != theirs[p]}
-            )
-            raise ProtocolError(
-                "virtual-seq divergence: final memory differs on "
                 f"page(s) {diff}"
             )
 

@@ -410,13 +410,7 @@ def _empty_hist_dict() -> Dict[str, Any]:
 _SCHED_KEYS = ("parks", "wakes", "retry_parks", "retry_wakes",
                "retry_ticks", "spin_steps", "events",
                "heap_elides", "heap_elided_steps",
-               "pushpop_fusions", "broadcast_stops",
-               "calendar_resizes", "bucket_max_occupancy",
-               "virtual_events", "fast_forwarded_events",
-               "queue_switches")
-
-#: Scheduler keys that are high-water marks (merged by max, not sum).
-_SCHED_MAX_KEYS = frozenset(("bucket_max_occupancy",))
+               "pushpop_fusions", "broadcast_stops")
 
 
 def _scheduler_stats(scheduler) -> Dict[str, int]:
@@ -497,11 +491,7 @@ def merge_summaries(summaries: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
         sched_a = a.get("scheduler") or {key: 0 for key in _SCHED_KEYS}
         sched_b = b.get("scheduler") or {}
         a["scheduler"] = {
-            key: (
-                max(sched_a.get(key, 0), sched_b.get(key, 0))
-                if key in _SCHED_MAX_KEYS
-                else sched_a.get(key, 0) + sched_b.get(key, 0)
-            )
+            key: sched_a.get(key, 0) + sched_b.get(key, 0)
             for key in _SCHED_KEYS
         }
         a["broadcast_stops"] = (

@@ -1,19 +1,11 @@
 """Discrete-event scheduler interleaving the simulated CPUs.
 
 Each CPU driver exposes ``step() -> latency`` (one instruction / one
-operation) and a ``done`` flag. The scheduler keeps a priority queue of
-(local-time, cpu) events and always resumes the CPU with the smallest
-local clock, so cross-CPU interactions (XIs, stiff-arming, conflicts)
-happen in global-time order.
-
-The event queue itself is a **bucketed calendar queue**
-(:class:`CalendarEventQueue`) by default — events are overwhelmingly
-near-future (the measured push distance on the contended benchmarks is
-under ~130 cycles for 95% of pushes), so a 32-cycle bucket array gives
-O(1) amortized push/pop where a binary heap pays O(log n).
-``REPRO_HEAP_SCHED=1`` opts back into the heap
-(:class:`HeapEventQueue`); both produce the identical total order
-(time, then push sequence), so results are bit-identical either way.
+operation) and a ``done`` flag. The scheduler keeps a :mod:`heapq` list
+of ``(local-time, seq, cpu)`` events and always resumes the CPU with the
+smallest local clock — equal times go to the smaller push sequence
+number — so cross-CPU interactions (XIs, stiff-arming, conflicts) happen
+in global-time order.
 
 Three special behaviours:
 
@@ -25,37 +17,24 @@ Three special behaviours:
   against live fabric state (:meth:`Scheduler._retry_tick`) without
   re-executing the instruction, until the fetch would succeed;
 * a :class:`~repro.core.engine.SpinPark` parks a certified spin loop —
-  pops advance the placeholder arithmetically (see ``_ParkedSpin``);
+  its events advance the placeholder arithmetically through the
+  certified latency cycle (:meth:`Scheduler._spin_tick`);
 * the **broadcast-stop** (solo) mode of constrained-transaction
   millicode: while a CPU holds the solo token, all other CPUs' events
   are deferred ("millicode can broadcast to other CPUs to stop all
   conflicting work, retry the local transaction, before releasing the
   other CPUs").
 
-**Virtual sequence numbering** (default on, ``REPRO_VIRTSEQ=0`` opts
-out): parked CPUs' placeholder events are not materialized in the event
-queue at all. Each parked CPU instead keeps a *virtual head* — the
-``(time, seq)`` its pending event would carry — in a small side heap,
-and the scheduler processes the global minimum of the real queue and
-the virtual heads. Every virtual advance consumes exactly the sequence
-number the materialized push would have consumed, in the same order, so
-event times, tie-breaks and ``stats_events`` are bit-identical to the
-materialized path. Parked *spin* chains are pure arithmetic, so they
-fast-forward in closed form up to the next other event (or the cycle
-budget) in one step; parked *retry* chains still tick one event at a
-time (each tick touches live fabric state) but skip the queue entirely.
-A wake re-materializes the stored head into the real queue unchanged;
-engaging the broadcast-stop machinery re-materializes every head and
-falls back to the fully materialized path until the solo window closes.
-``REPRO_VIRTSEQ_CHECK=1`` replays runs against the materialized path
-(see :meth:`repro.sim.machine.Machine.run`).
+A parked CPU's event chain stays in the heap: every placeholder event is
+pushed and popped like a real one, so event times, sequence numbers and
+``stats_events`` are exactly those of the non-elided run
+(``REPRO_SPIN_ELIDE=0``; ``REPRO_CHECK=1`` replays every run that way,
+see :meth:`repro.sim.machine.Machine.run`).
 """
 
 from __future__ import annotations
 
 import heapq
-import os
-from bisect import insort
 from typing import List, Optional, Tuple
 
 from ..core.engine import FetchRetry, RetryPark, SpinPark
@@ -63,284 +42,17 @@ from ..errors import MachineStateError, ProtocolError
 from ..mem.line import Ownership
 from ..mem.xi import Xi, XiResponse
 
-
-class HeapEventQueue:
-    """Binary-heap event queue (the ``REPRO_HEAP_SCHED=1`` fallback).
-
-    A thin wrapper over :mod:`heapq` with the same interface as
-    :class:`CalendarEventQueue`. The calendar counters are class
-    attributes fixed at zero.
-    """
-
-    resizes = 0
-    max_occupancy = 0
-
-    __slots__ = ("_heap", "n")
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[int, int, int]] = []
-        self.n = 0
-
-    def push(self, item) -> None:
-        self.n += 1
-        heapq.heappush(self._heap, item)
-
-    def pop(self):
-        self.n -= 1
-        return heapq.heappop(self._heap)
-
-    def pushpop(self, item):
-        return heapq.heappushpop(self._heap, item)
-
-    def peek_time(self) -> Optional[int]:
-        heap = self._heap
-        return heap[0][0] if heap else None
-
-    def peek(self):
-        heap = self._heap
-        return heap[0] if heap else None
-
-
-class CalendarEventQueue:
-    """Bucketed calendar queue over ``(time, seq, index)`` events.
-
-    Events hash into ``nbuckets`` buckets of ``1 << shift`` cycles by
-    their time; each bucket is kept sorted ascending (``bisect.insort``
-    — tuple order is (time, seq), so FIFO within a cycle is preserved
-    exactly as the heap's sequence numbers dictate). The *current*
-    bucket cursor sweeps forward one bucket-year at a time, skipping
-    empty buckets and jumping straight to the global minimum when a
-    whole year is empty. Pops take the head of the current bucket while
-    it holds an event of the current year.
-
-    Defaults are sized to the observed event-time distribution of the
-    contended benchmarks (40% of pushes land within 1 cycle of the
-    queue minimum, 95% within ~130, p99 341): 32-cycle buckets make a
-    year of 128 buckets 4096 cycles deep — far beyond any observed
-    push distance — while keeping per-bucket occupancy around one
-    event. When sustained occupancy outgrows the array
-    (``n > 4 * nbuckets``), the bucket count doubles lazily
-    (``resizes`` counts the rebuilds, ``max_occupancy`` the high-water
-    bucket fill).
-    """
-
-    __slots__ = ("shift", "mask", "buckets", "n", "cur", "cur_end",
-                 "resizes", "max_occupancy")
-
-    def __init__(self, shift: int = 5, nbuckets: int = 128) -> None:
-        if nbuckets & (nbuckets - 1):
-            raise ValueError("nbuckets must be a power of two")
-        self.shift = shift
-        self.mask = nbuckets - 1
-        self.buckets: List[list] = [[] for _ in range(nbuckets)]
-        self.n = 0
-        self.cur = 0
-        self.cur_end = 1 << shift
-        self.resizes = 0
-        self.max_occupancy = 0
-
-    def push(self, item) -> None:
-        t = item[0]
-        shift = self.shift
-        width = 1 << shift
-        if t < self.cur_end - width:
-            # Pushed behind the cursor (a deferred-event flush, or the
-            # cursor ran ahead via peek): rewind so the sweep can't miss
-            # it for a whole year.
-            self.cur = (t >> shift) & self.mask
-            self.cur_end = ((t >> shift) + 1) << shift
-        b = self.buckets[(t >> shift) & self.mask]
-        insort(b, item)
-        self.n += 1
-        if len(b) > self.max_occupancy:
-            self.max_occupancy = len(b)
-        if self.n > 4 * (self.mask + 1):
-            self._resize()
-
-    def _resize(self) -> None:
-        """Double the bucket count, redistributing in place."""
-        events = [item for b in self.buckets for item in b]
-        nbuckets = (self.mask + 1) * 2
-        self.mask = nbuckets - 1
-        self.buckets = [[] for _ in range(nbuckets)]
-        shift = self.shift
-        mask = self.mask
-        buckets = self.buckets
-        for item in events:
-            insort(buckets[(item[0] >> shift) & mask], item)
-        self.cur = ((self.cur_end >> shift) - 1) & mask
-        self.resizes += 1
-
-    def _advance(self) -> list:
-        """Move the cursor to the next bucket holding a current-year
-        event; returns that bucket. Must not be called on an empty
-        queue."""
-        shift = self.shift
-        mask = self.mask
-        buckets = self.buckets
-        cur = self.cur
-        cur_end = self.cur_end
-        width = 1 << shift
-        nbuckets = mask + 1
-        scanned = 0
-        while True:
-            cur = (cur + 1) & mask
-            cur_end += width
-            b = buckets[cur]
-            if b and b[0][0] < cur_end:
-                self.cur = cur
-                self.cur_end = cur_end
-                return b
-            scanned += 1
-            if scanned >= nbuckets:
-                # A whole year of empty buckets: jump straight to the
-                # global minimum instead of sweeping year by year.
-                tmin = min(b[0] for b in buckets if b)[0]
-                cur = (tmin >> shift) & mask
-                self.cur = cur
-                self.cur_end = ((tmin >> shift) + 1) << shift
-                return buckets[cur]
-
-    def pop(self):
-        b = self.buckets[self.cur]
-        if not (b and b[0][0] < self.cur_end):
-            b = self._advance()
-        self.n -= 1
-        return b.pop(0)
-
-    def pushpop(self, item):
-        b = self.buckets[self.cur]
-        if not (b and b[0][0] < self.cur_end):
-            b = self._advance()
-        if item <= b[0]:
-            return item
-        tb = self.buckets[(item[0] >> self.shift) & self.mask]
-        insort(tb, item)
-        if len(tb) > self.max_occupancy:
-            self.max_occupancy = len(tb)
-        return b.pop(0)
-
-    def peek_time(self) -> Optional[int]:
-        if not self.n:
-            return None
-        b = self.buckets[self.cur]
-        if not (b and b[0][0] < self.cur_end):
-            b = self._advance()
-        return b[0][0]
-
-    def peek(self):
-        if not self.n:
-            return None
-        b = self.buckets[self.cur]
-        if not (b and b[0][0] < self.cur_end):
-            b = self._advance()
-        return b[0]
-
-
-class AdaptiveEventQueue:
-    """Occupancy-adaptive event queue: C ``heapq`` at low occupancy,
-    :class:`CalendarEventQueue` at high occupancy.
-
-    PR 6 measured the C heap still edging the calendar queue below
-    ~50-event occupancy — and under virtual sequence numbering the real
-    queue holds only the *unparked* CPUs' events, which on the contended
-    benchmarks is a handful. The queue starts on the heap;
-    :meth:`maybe_switch` (called by the scheduler loop on a fixed event
-    cadence, so it can re-bind its hoisted backend methods right after)
-    moves to the calendar above :data:`HIGH` occupancy and back to the
-    heap below :data:`LOW` — the gap between the thresholds is the
-    hysteresis band, so a queue hovering around one threshold cannot
-    thrash. The accessor methods are pure delegation: the scheduler's
-    hot paths bind the backend's methods directly and only the cold
-    call sites (wakes, deferrals) pay the indirection.
-    ``REPRO_HEAP_SCHED=1`` bypasses this class entirely (the scheduler
-    builds a bare heap). Both backends produce the identical
-    (time, seq) total order and a switch transfers every event, so pops
-    are bit-identical no matter when (or whether) a switch happens.
-    """
-
-    #: Sustained occupancy below which the heap takes over.
-    LOW = 64
-    #: Sustained occupancy above which the calendar takes over.
-    HIGH = 128
-
-    __slots__ = ("_impl", "_is_heap", "switches",
-                 "_resizes_base", "_max_occ_base")
-
-    def __init__(self) -> None:
-        self._impl = HeapEventQueue()
-        self._is_heap = True
-        #: Backend switches performed (surfaced as a scheduler stat).
-        self.switches = 0
-        self._resizes_base = 0
-        self._max_occ_base = 0
-
-    @property
-    def n(self) -> int:
-        return self._impl.n
-
-    @property
-    def resizes(self) -> int:
-        return self._resizes_base + self._impl.resizes
-
-    @property
-    def max_occupancy(self) -> int:
-        occ = self._impl.max_occupancy
-        return occ if occ > self._max_occ_base else self._max_occ_base
-
-    def _switch(self) -> None:
-        old = self._impl
-        new = CalendarEventQueue() if self._is_heap else HeapEventQueue()
-        while old.n:
-            new.push(old.pop())
-        self._resizes_base += old.resizes
-        if old.max_occupancy > self._max_occ_base:
-            self._max_occ_base = old.max_occupancy
-        self._impl = new
-        self._is_heap = not self._is_heap
-        self.switches += 1
-
-    def maybe_switch(self) -> bool:
-        """Switch backends if current occupancy crossed the hysteresis
-        band; returns True when a switch happened (the caller must then
-        re-bind any hoisted backend methods)."""
-        n = self._impl.n
-        if self._is_heap:
-            if n <= self.HIGH:
-                return False
-        elif n >= self.LOW:
-            return False
-        self._switch()
-        return True
-
-    def push(self, item) -> None:
-        self._impl.push(item)
-
-    def pop(self):
-        return self._impl.pop()
-
-    def pushpop(self, item):
-        return self._impl.pushpop(item)
-
-    def peek_time(self) -> Optional[int]:
-        return self._impl.peek_time()
-
-    def peek(self):
-        return self._impl.peek()
+#: Time sentinel beyond any simulated time: comparisons against an int
+#: beat a None-check per event.
+_NEVER = 0x7FFFFFFFFFFFFFFF
 
 
 class Scheduler:
     """Runs a set of drivers to completion in simulated time."""
 
-    def __init__(self, drivers: List, virtseq: Optional[bool] = None) -> None:
+    def __init__(self, drivers: List) -> None:
         self.drivers = drivers
         self.now = 0
-        #: Virtual sequence numbering (see the module docstring). The
-        #: explicit argument wins; otherwise ``REPRO_VIRTSEQ=0`` opts
-        #: out and the default is on.
-        if virtseq is None:
-            virtseq = os.environ.get("REPRO_VIRTSEQ") != "0"
-        self.virtseq = virtseq
         #: Optional hook called as ``pre_step(index, now)`` before each
         #: step — used by the machine for asynchronous-interruption
         #: injection.
@@ -383,27 +95,6 @@ class Scheduler:
         self.stats_heap_elides = 0
         self.stats_heap_elided_steps = 0
         self.stats_pushpop_fusions = 0
-        #: Events advanced off-queue under virtual sequence numbering
-        #: (each consumed exactly the sequence number its materialized
-        #: push would have; always 0 with ``virtseq`` off).
-        self.stats_virtual_events = 0
-        #: Subset of ``stats_virtual_events`` collapsed analytically in
-        #: closed-form spin fast-forwards of two or more events.
-        self.stats_fast_forwarded_events = 0
-        #: Virtual heads of parked CPUs: ``index -> [time, seq, index]``
-        #: (the pending event the materialized path would have queued),
-        #: plus the same lists on a heap for O(1) minimum access. Kept
-        #: strictly in sync: every list in ``_vheap`` is live in
-        #: ``_vmap`` (wakes remove eagerly and re-heapify).
-        self._vmap: dict = {}
-        self._vheap: list = []
-        #: CPU whose retry tick is being evaluated off-queue right now —
-        #: a wake for it must not re-materialize the stale head (the
-        #: drain pushes the tick's successor itself).
-        self._vtick_index: Optional[int] = None
-        #: Bumped by every successful :meth:`wake_parked`; the virtual
-        #: drain uses it to skip per-tick cache refreshes.
-        self._wake_gen = 0
         #: CPUs with an outstanding broadcast-stop request, maintained
         #: incrementally: engines request solo only during their own
         #: step, so observing after each step is complete.
@@ -411,36 +102,10 @@ class Scheduler:
         #: Solo index the broadcast-stop flags were last applied for
         #: ("idle" = never applied / cleared).
         self._stop_applied_for = "idle"
-        # REPRO_HEAP_SCHED=1 still forces the bare heap. Otherwise the
-        # virtual-seq path (where the real queue holds only unparked
-        # CPUs' events, so occupancy is small and may change regime)
-        # auto-selects the backend by occupancy; the materialized
-        # opt-out keeps the static calendar queue whose pushpop the
-        # placeholder drain open-codes.
-        if os.environ.get("REPRO_HEAP_SCHED") == "1":
-            self._queue = HeapEventQueue()
-        elif self.virtseq:
-            self._queue = AdaptiveEventQueue()
-        else:
-            self._queue = CalendarEventQueue()
+        self._queue: List[Tuple[int, int, int]] = []
         self._deferred: List[Tuple[int, int]] = []
         for index in range(len(drivers)):
             self._push(0, index)
-
-    # Calendar-queue counters surfaced as stats_* like the other
-    # scheduler counters (zero under REPRO_HEAP_SCHED=1).
-    @property
-    def stats_calendar_resizes(self) -> int:
-        return self._queue.resizes
-
-    @property
-    def stats_bucket_max_occupancy(self) -> int:
-        return self._queue.max_occupancy
-
-    @property
-    def stats_queue_switches(self) -> int:
-        """Adaptive-queue backend switches (0 for the static backends)."""
-        return getattr(self._queue, "switches", 0)
 
     @property
     def stats_events(self) -> int:
@@ -450,7 +115,7 @@ class Scheduler:
 
     def _push(self, time: int, index: int) -> None:
         self._seq += 1
-        self._queue.push((time, self._seq, index))
+        heapq.heappush(self._queue, (time, self._seq, index))
 
     def _solo_index(self) -> Optional[int]:
         """The CPU holding the broadcast-stop token, if any.
@@ -474,520 +139,68 @@ class Scheduler:
         queue = self._queue
         drivers = self.drivers
         deferred = self._deferred
+        parked = self._parked
         # ``_solo_waiters`` is only ever mutated in place (add/discard),
         # so a local alias stays live across ``_solo_index`` calls.
         solo_waiters = self._solo_waiters
-        # Hot paths bind the *backend's* methods directly — for the
-        # adaptive queue that means its current impl, re-bound whenever
-        # the periodic maybe_switch() below fires (only the outer loop
-        # triggers switches, so the bindings cannot go stale mid-use;
-        # cold call sites like wakes go through the delegating wrapper
-        # and are always correct).
-        adaptive = queue if type(queue) is AdaptiveEventQueue else None
-        impl = queue._impl if adaptive is not None else queue
-        qpop = impl.pop
-        qpush = impl.push
-        qpushpop = impl.pushpop
-        qpeek = impl.peek_time
-        # The drain loop below open-codes both backends' pushpop —
-        # method-call overhead is measurable at ~1M parked events per
-        # contended run.
-        cal = impl if type(impl) is CalendarEventQueue else None
-        heap_list = impl._heap if type(impl) is HeapEventQueue else None
-        heap_pushpop = heapq.heappushpop
-        parked_get = self._parked.get
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        heappushpop = heapq.heappushpop
         pre_step = self.pre_step
         perturb = self.perturb
         limit = max_cycles
-        qpeek_item = impl.peek
-        sw_i = 0
-        vheap = self._vheap
-        vmap = self._vmap
-        heappush = heapq.heappush
-        heapreplace = heapq.heapreplace
-        virt = self.virtseq
-        # Budget sentinel: comparisons against an int beat a None-check
-        # per event; 2**63 is beyond any simulated time.
-        limit_t = 0x7FFFFFFFFFFFFFFF if limit is None else limit
-        limit_p1 = limit_t + 1
-        # Arm spin/retry elision on the drivers. Per-step hooks must
-        # observe (pre_step) or perturb (jitter) every instruction
-        # individually, so either one disables parking and batching; the
-        # drivers also honour REPRO_SPIN_ELIDE=0 themselves. The shared
-        # fabric's wake sink is pointed at this scheduler for the run.
-        hooks_ok = pre_step is None and perturb is None
-        # Retry parking survives schedule jitter: each tick draws the
-        # perturbation for the step it elides, in exact pop order —
-        # see the tick's delay sites below.
-        retry_ok = pre_step is None
-        fabric = None
-        for driver in drivers:
-            configure = getattr(driver, "configure_spin_elide", None)
-            if configure is not None:
-                configure(hooks_ok, retry_ok)
-                engine = getattr(driver, "engine", None)
-                if engine is not None:
-                    fabric = engine.fabric
-        if fabric is not None:
-            fabric.wake_sink = self.wake_parked
+        limit_t = _NEVER if limit is None else limit
+        self._arm_elision()
         event = None
         while True:
-            if adaptive is not None:
-                # Occupancy-adaptive backend selection, checked on a
-                # fixed outer-loop cadence (cheap relative to the
-                # events between checks). A switch transfers every
-                # event in (time, seq) order, so pops stay
-                # bit-identical; the hoisted bindings are refreshed
-                # right here, before any of them is used again.
-                sw_i += 1
-                if not (sw_i & 1023) and adaptive.maybe_switch():
-                    impl = adaptive._impl
-                    qpop = impl.pop
-                    qpush = impl.push
-                    qpushpop = impl.pushpop
-                    qpeek = impl.peek_time
-                    qpeek_item = impl.peek
-                    cal = impl if type(impl) is CalendarEventQueue else None
-                    heap_list = (
-                        impl._heap if type(impl) is HeapEventQueue else None
-                    )
-            if event is not None and vheap:
-                vtop = vheap[0]
-                if vtop[0] < event[0] or (
-                    vtop[0] == event[0] and vtop[1] < event[1]
-                ):
-                    # A virtual head precedes the (fused) popped event:
-                    # hand the event back and drain virtually first.
-                    qpush(event)
-                    event = None
-            if vheap and (
-                solo_waiters or deferred or self._stop_applied_for != "idle"
-            ):
-                # Broadcast-stop machinery engaging: re-materialize
-                # every virtual head with its stored (time, seq) — the
-                # solo defer/time-warp logic then treats them like any
-                # other queued event (trivially bit-identical), and the
-                # surfaced parked events re-virtualize once the window
-                # closes.
-                for ventry in vheap:
-                    qpush((ventry[0], ventry[1], ventry[2]))
-                vheap.clear()
-                vmap.clear()
             if event is None:
-                if vheap:
-                    rtop = qpeek_item()
-                    vtop = vheap[0]
-                    if rtop is not None and (
-                        rtop[0] < vtop[0]
-                        or (rtop[0] == vtop[0] and rtop[1] < vtop[1])
-                    ):
-                        event = qpop()
-                    else:
-                        # ---- virtual drain -------------------------------
-                        # The global minimum is a parked CPU's virtual
-                        # head. Advance heads off-queue — every advance
-                        # consumes exactly the sequence number its
-                        # materialized push would have, in the same
-                        # order — until a real event becomes the
-                        # minimum, a waking chain leaves, or the budget
-                        # is hit.
-                        if (
-                            self._n_active == 0
-                            and limit is None
-                            and self._n_retry_parked == 0
-                        ):
-                            self._raise_parked_deadlock()
-                        # The real-queue top and the per-drain counters
-                        # live in locals (written back on every exit):
-                        # at ~1M virtual events per contended run the
-                        # attribute and None-check overhead is the
-                        # dominant scheduler cost.
-                        if rtop is not None:
-                            rtop_t = rtop[0]
-                            rtop_s = rtop[1]
-                        else:
-                            rtop_t = 0x7FFFFFFFFFFFFFFF
-                            rtop_s = 0
-                        seq = self._seq
-                        # Every virtual event consumes exactly one seq,
-                        # so the virtual-event count is the seq delta —
-                        # no per-event counter needed in the hot loop.
-                        seq0 = seq
-                        ff_ev = 0
-                        wgen = self._wake_gen
-                        n_heads = len(vheap)
-                        while True:
-                            ventry = vheap[0]
-                            vtime = ventry[0]
-                            if rtop_t < vtime or (
-                                rtop_t == vtime and rtop_s < ventry[1]
-                            ):
-                                break
-                            if vtime > limit_t:
-                                self._seq = seq
-                                self.stats_virtual_events += seq - seq0
-                                self.stats_fast_forwarded_events += ff_ev
-                                return self._finish_budget(limit)
-                            lats = ventry[4]
-                            rec = ventry[3]
-                            if lats is None:
-                                vindex = ventry[2]
-                                # Heads drain in global time order, so
-                                # this store is monotone; ticks touch
-                                # the fabric, which observes the clock.
-                                self.now = vtime
-                                self._vtick_index = vindex
-                                # Open-coded :meth:`_retry_tick` (kept in
-                                # sync with the method, which the rarer
-                                # solo-engaged path still calls) — at
-                                # ~300k virtual ticks per contended run
-                                # the call overhead is measurable. The
-                                # single-pass ``while`` turns the
-                                # method's early returns into breaks.
-                                engine = rec.engine
-                                while True:
-                                    if (
-                                        engine.pending_abort is not None
-                                        or engine.stopped_by_broadcast
-                                        or engine.solo_requested
-                                        or engine._page_missing
-                                    ):
-                                        end = -1
-                                        break
-                                    exclusive = rec.exclusive
-                                    line = rec.line
-                                    entry = rec.l1_entries.get(line)
-                                    if entry is not None and (
-                                        not exclusive
-                                        or entry.state is Ownership.EXCLUSIVE
-                                    ):
-                                        end = -1
-                                        break
-                                    if engine._fetch_wait == rec.key:
-                                        info = rec.lines.get(line)
-                                        if info is None:
-                                            end = -1
-                                            break
-                                        if (
-                                            exclusive
-                                            and rec.cpu in info.ro_owners
-                                        ):
-                                            end = -1
-                                            break
-                                        l2_entry = rec.l2_entries.get(line)
-                                        if l2_entry is not None and (
-                                            not exclusive
-                                            or l2_entry.state
-                                            is Ownership.EXCLUSIVE
-                                        ):
-                                            end = -1
-                                            break
-                                        fabric = rec.fabric
-                                        if vtime < info.busy_until:
-                                            engine._fetch_wait = None
-                                            fabric.stats_fetches += 1
-                                            rec.ticks += 1
-                                            end = (
-                                                info.busy_until
-                                                if perturb is None
-                                                else vtime + perturb(
-                                                    vindex,
-                                                    info.busy_until - vtime,
-                                                )
-                                            )
-                                            break
-                                        owner = info.ex_owner
-                                        if owner < 0 or owner == rec.cpu:
-                                            end = -1
-                                            break
-                                        if not rec.ports[
-                                            owner
-                                        ].would_reject_xi(rec.xi_type, line):
-                                            end = -1
-                                            break
-                                        engine._fetch_wait = None
-                                        fabric.stats_fetches += 1
-                                        response, _extra = fabric._send_xi(
-                                            Xi(
-                                                rec.xi_type, line,
-                                                rec.cpu, owner,
-                                            )
-                                        )
-                                        if response is not XiResponse.REJECT:
-                                            raise ProtocolError(
-                                                "retry-park stiff-arm peek "
-                                                "diverged from delivery "
-                                                f"(line {line:#x}, "
-                                                f"owner {owner})"
-                                            )
-                                        fabric.stats_rejects += 1
-                                        rec.ticks += 1
-                                        end = vtime + (
-                                            rec.reject_lat
-                                            if perturb is None
-                                            else perturb(
-                                                vindex, rec.reject_lat
-                                            )
-                                        )
-                                        break
-                                    l2_entry = rec.l2_entries.get(line)
-                                    if l2_entry is not None and (
-                                        not exclusive
-                                        or l2_entry.state
-                                        is Ownership.EXCLUSIVE
-                                    ):
-                                        end = -1
-                                        break
-                                    cache = rec.probe_cache
-                                    memo = cache.get(line)
-                                    probe = (
-                                        memo.get((rec.cpu, exclusive))
-                                        if memo is not None
-                                        else None
-                                    )
-                                    if probe is None:
-                                        probe = (
-                                            rec.fabric._probe_latency_uncached(
-                                                rec.cpu, line, exclusive
-                                            )
-                                        )
-                                        if probe <= rec.l2_hit:
-                                            end = -1
-                                            break
-                                        if memo is None:
-                                            memo = cache[line] = {}
-                                        memo[(rec.cpu, exclusive)] = probe
-                                    else:
-                                        if probe <= rec.l2_hit:
-                                            end = -1
-                                            break
-                                        rec.fabric.probe_latency(
-                                            rec.cpu, line, exclusive
-                                        )
-                                    engine._fetch_wait = rec.key
-                                    rec.ticks += 1
-                                    end = vtime + (
-                                        probe - rec.l1_hit
-                                        if perturb is None
-                                        else perturb(
-                                            vindex, probe - rec.l1_hit
-                                        )
-                                    )
-                                    break
-                                if end < 0:
-                                    # Leaving the chain (success, abort,
-                                    # broadcast-stop): un-park and run
-                                    # this very event for real — it
-                                    # never re-enters the queue (the
-                                    # still-set ``_vtick_index`` keeps
-                                    # wake_parked from re-queueing the
-                                    # consumed head).
-                                    self.wake_parked(vindex)
-                                    self._vtick_index = None
-                                    event = (vtime, 0, vindex)
-                                    break
-                                self._vtick_index = None
-                                seq += 1
-                                g = self._wake_gen
-                                if g == wgen:
-                                    # No wake: the head is still parked
-                                    # and the real queue is untouched,
-                                    # so every cached local holds.
-                                    ventry[0] = end
-                                    ventry[1] = seq
-                                    heapreplace(vheap, ventry)
-                                else:
-                                    wgen = g
-                                    if vmap.get(vindex) is ventry:
-                                        ventry[0] = end
-                                        ventry[1] = seq
-                                        heapreplace(vheap, ventry)
-                                    else:
-                                        # The tick woke its own CPU;
-                                        # wake_parked already dropped
-                                        # the stale head, so queue the
-                                        # successor for real execution.
-                                        qpush((end, seq, vindex))
-                                        if not vheap:
-                                            break
-                                    # A tick can wake other parked
-                                    # CPUs, re-materializing their
-                                    # heads into the real queue —
-                                    # refresh the cached top and head
-                                    # count.
-                                    rtop = qpeek_item()
-                                    if rtop is not None:
-                                        rtop_t = rtop[0]
-                                        rtop_s = rtop[1]
-                                    else:
-                                        rtop_t = 0x7FFFFFFFFFFFFFFF
-                                        rtop_s = 0
-                                    n_heads = len(vheap)
-                            else:
-                                # Single-step spin advance, always legal:
-                                # this head is the global minimum, so
-                                # consuming it and re-inserting the
-                                # successor (fresh, larger seq) is the
-                                # exact next materialized action whatever
-                                # the other events hold. ~90% of advances
-                                # on a contended run interleave with
-                                # sibling chains, so the fast path skips
-                                # the next-other-event bound entirely.
-                                pos0 = rec.pos
-                                end = vtime + lats[pos0]
-                                rec.steps += 1
-                                rec.pos = rec.nxt[pos0]
-                                seq += 1
-                                ventry[0] = end
-                                ventry[1] = seq
-                                heapreplace(vheap, ventry)
-                                if vheap[0] is ventry:
-                                    # The successor still tops the heap:
-                                    # the chain runs ahead alone, which is
-                                    # exactly when closed-form batching
-                                    # pays. Advance as far as it stays
-                                    # strictly ahead of every other
-                                    # pending event (successor seqs are
-                                    # freshly assigned, hence larger — so
-                                    # ties go the other way and the
-                                    # comparison is strict) and within
-                                    # the cycle budget. The next other
-                                    # event is the smaller of the real
-                                    # queue's top and the best other head
-                                    # (one of the heap root's children).
-                                    bound = rtop_t
-                                    if n_heads > 1:
-                                        b = vheap[1][0]
-                                        if n_heads > 2:
-                                            b2 = vheap[2][0]
-                                            if b2 < b:
-                                                b = b2
-                                        if b < bound:
-                                            bound = b
-                                    if limit_p1 < bound:
-                                        bound = limit_p1
-                                    pos0 = rec.pos
-                                    D = bound - end
-                                    if D > lats[pos0]:
-                                        count = rec.count
-                                        # k = 1 (the head itself) plus
-                                        # the count of successor events
-                                        # landing strictly before the
-                                        # bound, summed per cyclic
-                                        # position: an event m = q*count
-                                        # + r steps ahead fires at end +
-                                        # q*period + c_r with c_r the
-                                        # cyclic prefix sum from pos0.
-                                        period = rec.period
-                                        q0 = (D + period - 1) // period - 1
-                                        n_ev = q0 if q0 > 0 else 0
-                                        c = 0
-                                        j = pos0
-                                        for _ in range(count - 1):
-                                            c += lats[j]
-                                            j += 1
-                                            if j == count:
-                                                j = 0
-                                            d = D - c
-                                            if d > 0:
-                                                n_ev += (
-                                                    (d + period - 1)
-                                                    // period
-                                                )
-                                        k = 1 + n_ev
-                                        rec.steps += k
-                                        whole, r = divmod(k, count)
-                                        cr = 0
-                                        j = pos0
-                                        for _ in range(r):
-                                            cr += lats[j]
-                                            j += 1
-                                            if j == count:
-                                                j = 0
-                                        ventry[0] = end + whole * period + cr
-                                        rec.pos = j
-                                        seq += k
-                                        ventry[1] = seq
-                                        ff_ev += k
-                                        heapreplace(vheap, ventry)
-                        self._seq = seq
-                        self.stats_virtual_events += seq - seq0
-                        self.stats_fast_forwarded_events += ff_ev
-                        continue
-                elif impl.n:
-                    event = qpop()
+                if queue:
+                    event = heappop(queue)
                 elif deferred:
                     self._flush_deferred()
                     continue
                 else:
                     break
-            time, eseq, index = event
+            time, _, index = event
             event = None
             driver = drivers[index]
             if driver.done:
                 self._n_active -= 1
                 continue
-            if limit is not None and time > limit:
+            if time > limit_t:
                 return self._finish_budget(limit)
             # The solo-token bookkeeping only matters while some CPU has
             # (or recently had) a broadcast-stop outstanding; the common
             # case skips it entirely.
-            if solo_waiters or self._stop_applied_for != "idle":
-                solo = self._solo_index()
-                if solo is None:
-                    if self._stop_applied_for != "idle":
-                        self._apply_broadcast_stop(None)
-                        self._stop_applied_for = "idle"
-                elif solo != self._stop_applied_for:
-                    self._apply_broadcast_stop(solo)
-                    self._stop_applied_for = solo
-                    self.stats_broadcast_stops += 1
-                if solo is not None and index != solo:
-                    stm = getattr(driver.engine, "stm", None)
-                    if stm is None or not stm.commit_holds_locks:
-                        deferred.append((time, index))
-                        continue
-                    # A software (STM) committer holding acquired orecs
-                    # is exempt from the broadcast-stop: freezing it
-                    # would leave its write locks held for the whole
-                    # solo window, and a constrained transaction that
-                    # reads a locked grain can never succeed — not even
-                    # solo, since stopping CPUs cannot release storage
-                    # locks. Lock release is bounded work (validate,
-                    # write back, release), after which the stop flag
-                    # holds the CPU before it starts anything new.
-            # Heap-eliding fast loop. While this driver's next deadline
-            # strictly precedes every queued event, re-pushing and
-            # popping it would hand the CPU straight back — so step it
-            # in a tight local loop instead. Strict comparison is
-            # required: at equal times the queued event carries the
-            # smaller sequence number and must run first. The loop is
-            # left (falling back to the queue) the moment any cross-CPU
-            # machinery could engage: the driver finishing, a
-            # broadcast-stop request or deferral appearing, or the next
-            # deadline reaching another CPU's event.
-            parked = self._parked
+            if (
+                solo_waiters or self._stop_applied_for != "idle"
+            ) and self._defer_for_solo(index, time, driver):
+                continue
             rec = parked.get(index) if parked else None
             if rec is None:
+                # Heap-eliding step loop. While this driver's next
+                # deadline strictly precedes every queued event,
+                # re-pushing and popping it would hand the CPU straight
+                # back — so step it in a tight local loop instead.
+                # Strict comparison is required: at equal times the
+                # queued event carries the smaller sequence number and
+                # must run first. The loop is left (falling back to the
+                # queue) the moment any cross-CPU machinery could
+                # engage: the driver finishing or parking, a
+                # broadcast-stop request or deferral appearing, or the
+                # next deadline reaching another CPU's event.
                 engine = driver.engine
                 elide_steps = 0
-                # The queue cannot change while this driver steps (only
-                # the scheduler pushes), so its top is loop-invariant.
-                # Virtual heads count too: a step's wake can move one
-                # into the real queue, but at its stored (time, seq) —
-                # the minimum over the union never changes mid-loop.
-                top_time = qpeek()
-                if vheap:
-                    vt = vheap[0][0]
-                    if top_time is None or vt < top_time:
-                        top_time = vt
+                # Only the scheduler pushes, so the queue's top is
+                # invariant while this driver steps.
+                top_time = queue[0][0] if queue else _NEVER
                 # Whether any cross-CPU machinery is engaged right now.
-                # None of these can become true *between* the entry check
-                # and a step (only a step sets solo_requested, and the
-                # loop breaks immediately after), so it is loop-invariant
-                # too. While engaged, the loop yields after every single
-                # instruction — a fused batch would swallow that yield,
-                # so the batch window is forced to zero.
+                # None of these can become true *between* the entry
+                # check and a step (only a step sets solo_requested, and
+                # the loop breaks immediately after), so it is
+                # loop-invariant too. While engaged, the loop yields
+                # after every single instruction — a fused batch would
+                # swallow that yield, so the batch window is zero.
                 solo_engaged = (
                     engine.solo_requested or solo_waiters or deferred
                     or self._stop_applied_for != "idle"
@@ -1006,12 +219,9 @@ class Scheduler:
                     if solo_engaged:
                         driver.step_bound = 0
                     else:
-                        bound = (
-                            top_time - time - 1 if top_time is not None
-                            else 0x7FFFFFFFFFFFFFFF
-                        )
-                        if limit is not None and limit - time < bound:
-                            bound = limit - time
+                        bound = top_time - time - 1
+                        if limit_t - time < bound:
+                            bound = limit_t - time
                         driver.step_bound = bound
                     try:
                         latency = driver.step()
@@ -1019,10 +229,8 @@ class Scheduler:
                         latency = retry.delay
                     except SpinPark as park:
                         # The driver certified a spin loop and parked
-                        # before executing its head. Switch this CPU's
-                        # event chain to placeholder mode: the advance
-                        # below continues from the park moment exactly
-                        # where real execution stopped.
+                        # before executing its head; its placeholder
+                        # chain continues below from this very event.
                         parked[index] = rec = park.rec
                         self._n_active -= 1
                         self.stats_parks += 1
@@ -1030,8 +238,7 @@ class Scheduler:
                     except RetryPark as park:
                         # The driver certified a FetchRetry back-off
                         # chain and parked before re-executing it; the
-                        # tick below advances the chain from this very
-                        # step.
+                        # ticks below advance the chain from this step.
                         parked[index] = rec = park.rec
                         self._n_active -= 1
                         self._n_retry_parked += 1
@@ -1046,14 +253,12 @@ class Scheduler:
                         or solo_waiters
                         or deferred
                         or self._stop_applied_for != "idle"
-                        or (top_time is not None and end >= top_time)
+                        or end >= top_time
                     ):
                         break
-                    if limit is not None and end > limit:
-                        # Mirror of the pop-time budget check for the
-                        # event whose push was elided.
-                        if end > self._horizon:
-                            self._horizon = end
+                    if end > limit_t:
+                        # The pop-time budget check, for the event whose
+                        # push was elided.
                         return self._finish_budget(limit)
                     time = end
                     elide_steps += 1
@@ -1067,328 +272,189 @@ class Scheduler:
                         self._seq += 1
                         item = (end, self._seq, index)
                         if engine.solo_requested:
-                            qpush(item)
+                            heappush(queue, item)
                             solo_waiters.add(index)
-                        elif impl.n and not deferred and not solo_waiters:
+                        elif queue and not deferred and not solo_waiters:
                             # Nothing can run between this push and the
                             # next pop, so fuse them; the popped event
                             # still flows through the full solo/limit
                             # checks above.
-                            event = qpushpop(item)
+                            event = heappushpop(queue, item)
                             self.stats_pushpop_fusions += 1
                         else:
-                            qpush(item)
+                            heappush(queue, item)
                     else:
                         self._n_active -= 1
                     if deferred and self._solo_index() is None:
                         self._flush_deferred()
                     continue
-            # --- parked placeholder handling --------------------------
-            if self._n_active == 0 and not deferred and not solo_waiters:
+            # A parked CPU's placeholder event (or a fresh park's
+            # in-flight one).
+            if (
+                self._n_active == 0
+                and not deferred
+                and not solo_waiters
+                and limit is None
+                and self._n_retry_parked == 0
+            ):
                 # Spinners can only be woken by other CPUs' stores/XIs;
                 # retry waiters advance on their own (their ticks keep
                 # simulated time and the fabric moving), so any of them
                 # present means the machine is still live.
-                if limit is None and self._n_retry_parked == 0:
-                    self._raise_parked_deadlock()
+                self._raise_parked_deadlock()
             if solo_waiters or deferred or self._stop_applied_for != "idle":
-                # Solo machinery engaged: advance a single event and hand
-                # the pushed successor back through the full outer-loop
-                # checks so it can be deferred like any other event.
-                if time > self.now:
-                    self.now = time
-                if rec.is_retry:
-                    end = self._retry_tick(rec, time)
-                    if end < 0:
-                        # The pending fetch would leave the retry chain
-                        # (success, abort, broadcast-stop): un-park and
-                        # re-execute this very event for real. The
-                        # sequence number no longer matters — the event
-                        # never re-enters the queue.
-                        self.wake_parked(index)
-                        event = (time, 0, index)
-                        continue
-                else:
-                    pos = rec.pos
-                    end = time + rec.lats[pos]
-                    rec.steps += 1
-                    rec.pos = rec.nxt[pos]
-                if end > self._horizon:
-                    self._horizon = end
-                self._seq += 1
-                qpush((end, self._seq, index))
-                if deferred and self._solo_index() is None:
-                    self._flush_deferred()
-                continue
-            if virt:
-                # Re-virtualize: this parked CPU's pending event (back
-                # in the queue because a solo window materialized it, or
-                # the in-flight event of a fresh park) becomes its
-                # virtual head again, (time, seq) unchanged. A fresh
-                # park's in-flight event either still carries its popped
-                # sequence number (no elided steps) or was elided into a
-                # time strictly ahead of every pending event, where the
-                # stale number can never decide a tie.
-                # The record (and, for spinners, its latency cycle —
-                # None marks a retry waiter) rides in the entry so the
-                # drain skips a dict lookup and two attribute loads per
-                # event; (time, seq) is unique per entry, so heap
-                # comparisons never reach it.
-                ventry = [
-                    time,
-                    eseq,
-                    index,
-                    rec,
-                    None if rec.is_retry else rec.lats,
-                ]
-                vmap[index] = ventry
-                heappush(vheap, ventry)
-                continue
-            # Fast drain: while the queue keeps handing back parked CPUs'
-            # events, nothing real can run and none of the outer-loop
-            # state (done flags, solo requests, deferrals) can change —
-            # so advance placeholders in a tight loop, one event per
-            # iteration, fusing each push with the following pop.
-            #
-            # A parked *spinner* walks its certified (ias, lats) cycle
-            # arithmetically — applying exactly the per-event effects of
-            # the non-elided run, so event times, push moments, and
-            # sequence-number order come out identical. ``self.now``
-            # needs no updates for these: nothing observes it until a
-            # real event exits to the outer loop, whose pop time bounds
-            # every drained time from above.
-            #
-            # A parked *retry waiter* ticks through its back-off chain.
-            # Ticks touch the fabric (probes, stiff-arm XIs), so
-            # ``self.now`` is kept current and any CPU a tick wakes
-            # surfaces to the outer loop when its event pops.
-            #
-            # The calendar queue's pushpop is open-coded here with its
-            # cursor in locals (written back on every exit): at ~1M
-            # parked events per contended run the method-call and
-            # attribute overhead is the dominant scheduler cost.
-            #
-            # ``_horizon`` is deliberately not updated here: a parked
-            # CPU's chain either reaches a wake — after which its real
-            # pushes (which do update the horizon) dominate every
-            # placeholder end — or the run stops at the cycle budget,
-            # where ``_finish_budget`` fixes ``now`` to the limit anyway.
-            seq = self._seq
-            fusions = 0
-            qn = impl.n
-            if cal is not None:
-                buckets = cal.buckets
-                shift = cal.shift
-                mask = cal.mask
-                cur = cal.cur
-                cur_end = cal.cur_end
-                max_occ = cal.max_occupancy
-            budget_hit = False
-            while True:
-                if rec.is_retry:
-                    # Pops are globally time-ordered, so this store is
-                    # monotone; ticks touch the fabric (probes,
-                    # stiff-arm XIs with interval recording), which
-                    # observes the clock.
-                    self.now = time
-                    # Open-coded :meth:`_retry_tick` (kept in sync with
-                    # the method, which the rarer solo-engaged path above
-                    # still calls) — at ~300k ticks per contended run the
-                    # call overhead alone is measurable. The single-pass
-                    # ``while`` turns the method's early returns into
-                    # breaks.
-                    engine = rec.engine
-                    while True:
-                        if (
-                            engine.pending_abort is not None
-                            or engine.stopped_by_broadcast
-                            or engine.solo_requested
-                            or engine._page_missing
-                        ):
-                            end = -1
-                            break
-                        exclusive = rec.exclusive
-                        line = rec.line
-                        entry = rec.l1_entries.get(line)
-                        if entry is not None and (
-                            not exclusive
-                            or entry.state is Ownership.EXCLUSIVE
-                        ):
-                            end = -1
-                            break
-                        if engine._fetch_wait == rec.key:
-                            info = rec.lines.get(line)
-                            if info is None:
-                                end = -1
-                                break
-                            if exclusive and rec.cpu in info.ro_owners:
-                                end = -1
-                                break
-                            l2_entry = rec.l2_entries.get(line)
-                            if l2_entry is not None and (
-                                not exclusive
-                                or l2_entry.state is Ownership.EXCLUSIVE
-                            ):
-                                end = -1
-                                break
-                            fabric = rec.fabric
-                            if time < info.busy_until:
-                                engine._fetch_wait = None
-                                fabric.stats_fetches += 1
-                                rec.ticks += 1
-                                end = (
-                                    info.busy_until
-                                    if perturb is None
-                                    else time + perturb(
-                                        index, info.busy_until - time
-                                    )
-                                )
-                                break
-                            owner = info.ex_owner
-                            if owner < 0 or owner == rec.cpu:
-                                end = -1
-                                break
-                            if not rec.ports[owner].would_reject_xi(
-                                rec.xi_type, line
-                            ):
-                                end = -1
-                                break
-                            engine._fetch_wait = None
-                            fabric.stats_fetches += 1
-                            response, _extra = fabric._send_xi(
-                                Xi(rec.xi_type, line, rec.cpu, owner)
-                            )
-                            if response is not XiResponse.REJECT:
-                                raise ProtocolError(
-                                    "retry-park stiff-arm peek diverged "
-                                    f"from delivery (line {line:#x}, "
-                                    f"owner {owner})"
-                                )
-                            fabric.stats_rejects += 1
-                            rec.ticks += 1
-                            end = time + (
-                                rec.reject_lat
-                                if perturb is None
-                                else perturb(index, rec.reject_lat)
-                            )
-                            break
-                        l2_entry = rec.l2_entries.get(line)
-                        if l2_entry is not None and (
-                            not exclusive
-                            or l2_entry.state is Ownership.EXCLUSIVE
-                        ):
-                            end = -1
-                            break
-                        cache = rec.probe_cache
-                        memo = cache.get(line)
-                        probe = (
-                            memo.get((rec.cpu, exclusive))
-                            if memo is not None
-                            else None
-                        )
-                        if probe is None:
-                            probe = rec.fabric._probe_latency_uncached(
-                                rec.cpu, line, exclusive
-                            )
-                            if probe <= rec.l2_hit:
-                                end = -1
-                                break
-                            if memo is None:
-                                memo = cache[line] = {}
-                            memo[(rec.cpu, exclusive)] = probe
-                        else:
-                            if probe <= rec.l2_hit:
-                                end = -1
-                                break
-                            rec.fabric.probe_latency(
-                                rec.cpu, line, exclusive
-                            )
-                        engine._fetch_wait = rec.key
-                        rec.ticks += 1
-                        end = time + (
-                            probe - rec.l1_hit
-                            if perturb is None
-                            else perturb(index, probe - rec.l1_hit)
-                        )
-                        break
-                    if end < 0:
-                        # The pending fetch would leave the retry chain:
-                        # un-park and re-execute this very event for real
-                        # through the outer loop. The sequence number no
-                        # longer matters — the event never re-enters the
-                        # queue.
-                        self.wake_parked(index)
-                        event = (time, 0, index)
-                        break
-                else:
-                    pos = rec.pos
-                    end = time + rec.lats[pos]
-                    rec.steps += 1
-                    rec.pos = rec.nxt[pos]
-                seq += 1
-                item = (end, seq, index)
-                if not qn:
-                    if cal is not None:
-                        # push() consults (and may rewind) the cursor:
-                        # sync the locals around the call.
-                        cal.cur = cur
-                        cal.cur_end = cur_end
-                    qpush(item)
-                    if cal is not None:
-                        cur = cal.cur
-                        cur_end = cal.cur_end
-                        if cal.max_occupancy > max_occ:
-                            max_occ = cal.max_occupancy
-                    event = None
-                    break
-                fusions += 1
-                if heap_list is not None:
-                    event = heap_pushpop(heap_list, item)
-                elif cal is None:
-                    # Adaptive backend (virtseq runs that fell back to
-                    # materialized placeholders never reach this drain,
-                    # but keep the generic path correct regardless).
-                    event = qpushpop(item)
-                else:
-                    b = buckets[cur]
-                    if not (b and b[0][0] < cur_end):
-                        cal.cur = cur
-                        cal.cur_end = cur_end
-                        b = cal._advance()
-                        cur = cal.cur
-                        cur_end = cal.cur_end
-                    if item <= b[0]:
-                        event = item
-                    else:
-                        tb = buckets[(end >> shift) & mask]
-                        insort(tb, item)
-                        if len(tb) > max_occ:
-                            max_occ = len(tb)
-                        event = b.pop(0)
-                time, _, index = event
-                if time > limit_t:
-                    budget_hit = True
-                    break
-                rec = parked_get(index)
-                if rec is None:
-                    # A real CPU's event surfaced: return it through the
-                    # outer loop (done/solo handling re-runs there).
-                    break
-            self._seq = seq
-            self.stats_pushpop_fusions += fusions
-            if cal is not None:
-                cal.cur = cur
-                cal.cur_end = cur_end
-                cal.max_occupancy = max_occ
-            if budget_hit:
-                return self._finish_budget(limit)
+                event = self._tick_parked_solo(index, rec, time)
+            else:
+                event = self._drain_parked(index, rec, time, limit_t)
         if self._horizon > self.now:
             self.now = self._horizon
         return self.now
 
+    def _arm_elision(self) -> None:
+        """Arm spin/retry elision on the drivers for this run.
+
+        Per-step hooks must observe (``pre_step``) or perturb (jitter)
+        every instruction individually, so either one disables parking
+        and batching; retry parking survives jitter alone, because each
+        tick draws the perturbation for the step it elides in exact pop
+        order. The drivers also honour ``REPRO_SPIN_ELIDE=0``
+        themselves. The shared fabric's wake sink is pointed at this
+        scheduler.
+        """
+        hooks_ok = self.pre_step is None and self.perturb is None
+        retry_ok = self.pre_step is None
+        fabric = None
+        for driver in self.drivers:
+            configure = getattr(driver, "configure_spin_elide", None)
+            if configure is not None:
+                configure(hooks_ok, retry_ok)
+                engine = getattr(driver, "engine", None)
+                if engine is not None:
+                    fabric = engine.fabric
+        if fabric is not None:
+            fabric.wake_sink = self.wake_parked
+
+    def _defer_for_solo(self, index: int, time: int, driver) -> bool:
+        """Broadcast-stop bookkeeping for a popped event: (re)apply the
+        stop flags for the current solo holder, and defer the event —
+        returning True — when another CPU holds the token."""
+        solo = self._solo_index()
+        if solo is None:
+            if self._stop_applied_for != "idle":
+                self._apply_broadcast_stop(None)
+                self._stop_applied_for = "idle"
+            return False
+        if solo != self._stop_applied_for:
+            self._apply_broadcast_stop(solo)
+            self._stop_applied_for = solo
+            self.stats_broadcast_stops += 1
+        if index == solo:
+            return False
+        stm = getattr(driver.engine, "stm", None)
+        if stm is not None and stm.commit_holds_locks:
+            # A software (STM) committer holding acquired orecs is
+            # exempt from the broadcast-stop: freezing it would leave its
+            # write locks held for the whole solo window, and a
+            # constrained transaction that reads a locked grain can never
+            # succeed — not even solo, since stopping CPUs cannot release
+            # storage locks. Lock release is bounded work (validate,
+            # write back, release), after which the stop flag holds the
+            # CPU before it starts anything new.
+            return False
+        self._deferred.append((time, index))
+        return True
+
     # ------------------------------------------------------------------
-    # retry-storm elision support
+    # parked placeholder chains
     # ------------------------------------------------------------------
+
+    def _drain_parked(self, index: int, rec, time: int, limit_t: int):
+        """Advance placeholder events while the queue keeps handing back
+        parked CPUs' events.
+
+        Nothing real can run meanwhile, and none of the outer loop's
+        state (done flags, solo requests, deferrals) can change, so each
+        iteration advances one placeholder and fuses the push of its
+        successor with the following pop. Returns the first popped event
+        that is not a parked CPU's within the budget — the outer loop
+        runs it (or stops at the budget) — or, when a retry waiter's
+        pending fetch would leave its chain, that very event to
+        re-execute for real; None when the queue ran dry.
+
+        ``self.now`` is kept current only for retry ticks, which touch
+        the fabric; spin advances are pure arithmetic and nothing
+        observes the clock until a real event surfaces. ``_horizon`` is
+        not updated: a parked chain either reaches a wake — after which
+        its real pushes dominate every placeholder end — or the run
+        stops at the budget, where ``_finish_budget`` fixes the clock.
+        """
+        queue = self._queue
+        parked_get = self._parked.get
+        heappushpop = heapq.heappushpop
+        spin_tick = self._spin_tick
+        retry_tick = self._retry_tick
+        seq = self._seq
+        fusions = 0
+        while True:
+            if rec.is_retry:
+                self.now = time
+                end = retry_tick(rec, time)
+                if end < 0:
+                    # The event never re-enters the queue, so its
+                    # sequence number no longer matters.
+                    self.wake_parked(index)
+                    event = (time, 0, index)
+                    break
+            else:
+                end = spin_tick(rec, time)
+            seq += 1
+            if not queue:
+                heapq.heappush(queue, (end, seq, index))
+                event = None
+                break
+            fusions += 1
+            event = heappushpop(queue, (end, seq, index))
+            time, _, index = event
+            if time > limit_t:
+                break
+            rec = parked_get(index)
+            if rec is None:
+                break
+        self._seq = seq
+        self.stats_pushpop_fusions += fusions
+        return event
+
+    def _tick_parked_solo(self, index: int, rec, time: int):
+        """Advance one placeholder event while the broadcast-stop
+        machinery is engaged, pushing its successor back through the
+        full outer-loop checks so it can be deferred like any other
+        event. Returns the event to re-execute for real when a retry
+        waiter leaves its chain, else None."""
+        if time > self.now:
+            self.now = time
+        if rec.is_retry:
+            end = self._retry_tick(rec, time)
+            if end < 0:
+                self.wake_parked(index)
+                return (time, 0, index)
+        else:
+            end = self._spin_tick(rec, time)
+        if end > self._horizon:
+            self._horizon = end
+        self._push(end, index)
+        if self._deferred and self._solo_index() is None:
+            self._flush_deferred()
+        return None
+
+    @staticmethod
+    def _spin_tick(rec, time: int) -> int:
+        """Advance a parked spinner by one elided instruction of its
+        certified cycle; returns the next event's time."""
+        pos = rec.pos
+        rec.steps += 1
+        nxt = pos + 1
+        rec.pos = nxt if nxt < rec.count else 0
+        return time + rec.lats[pos]
 
     def _retry_tick(self, rec, time: int) -> int:
         """Advance a parked retry waiter's event chain by one event.
@@ -1505,7 +571,7 @@ class Scheduler:
             if probe <= rec.l2_hit:
                 return -1
             # Memo hit: take the real hit path for its counter and the
-            # REPRO_PROBE_CHECK self-check.
+            # REPRO_CHECK probe re-verify.
             rec.fabric.probe_latency(rec.cpu, line, exclusive)
         engine._fetch_wait = rec.key
         rec.ticks += 1
@@ -1531,23 +597,12 @@ class Scheduler:
         rec = self._parked.pop(index, None)
         if rec is None:
             return
-        # Generation counter: the virtual drain caches the real-queue
-        # top and the head count in locals and refreshes them only when
-        # this has moved (wakes are ~50x rarer than ticks).
-        self._wake_gen += 1
-        ventry = self._vmap.pop(index, None)
-        if ventry is not None:
-            # Virtual head: re-materialize the pending event with the
-            # exact (time, seq) the materialized path would have had in
-            # the queue all along — unless the wake came from this CPU's
-            # own off-queue retry tick, whose successor the drain queues
-            # itself.
-            vheap = self._vheap
-            vheap.remove(ventry)
-            heapq.heapify(vheap)
-            if index != self._vtick_index:
-                self._queue.push((ventry[0], ventry[1], ventry[2]))
         self._n_active += 1
+        self._unpark(index, rec)
+
+    def _unpark(self, index: int, rec) -> None:
+        """Fold a placeholder record's counts into the stats and hand
+        the CPU back to its driver."""
         if rec.is_retry:
             self._n_retry_parked -= 1
             self.stats_retry_ticks += rec.ticks
@@ -1567,21 +622,10 @@ class Scheduler:
         the whole job; a retry placeholder applied its effects live at
         every tick, so only its watch needs dropping.
         """
-        if self._parked:
-            for index in sorted(self._parked):
-                rec = self._parked[index]
-                if rec.is_retry:
-                    self.stats_retry_ticks += rec.ticks
-                    self.drivers[index].retry_unpark()
-                    self.stats_retry_wakes += 1
-                else:
-                    self.stats_spin_steps += rec.steps
-                    self.drivers[index].spin_unpark()
-                    self.stats_wakes += 1
-            self._parked.clear()
-            self._n_retry_parked = 0
-        self._vmap.clear()
-        self._vheap.clear()
+        parked = self._parked
+        for index in sorted(parked):
+            self._unpark(index, parked[index])
+        parked.clear()
         self.now = limit
         return self.now
 
@@ -1589,10 +633,9 @@ class Scheduler:
         details = []
         for index in sorted(self._parked):
             engine = getattr(self.drivers[index], "engine", None)
-            watches = engine.fabric.watches if engine is not None else None
             desc = (
-                watches.describe(index, off_queue=index in self._vmap)
-                if watches is not None
+                engine.fabric.watches.describe(index)
+                if engine is not None
                 else None
             )
             details.append(desc if desc is not None else

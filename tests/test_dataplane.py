@@ -10,7 +10,7 @@ at risk:
 * partial overlaps between store-queue / store-cache entries and a load;
 * the paged :class:`~repro.mem.memory.MainMemory` against a brute-force
   per-byte reference model under randomized mixed-size traffic;
-* the probe memo's self-check mode (``REPRO_PROBE_CHECK=1``) over a
+* the probe memo's self-check mode (part of ``REPRO_CHECK=1``) over a
   contended simulation;
 * exact (cycles, instructions, aborts, xi_rejects) on three sweep
   points, serial and through the parallel runner.
@@ -158,19 +158,19 @@ class TestPagedMemoryDifferential:
 
 class TestProbeMemoization:
     def test_contended_sim_under_self_check(self, monkeypatch):
-        """With REPRO_PROBE_CHECK=1 every memo hit is re-verified against
-        a fresh computation; a stale entry raises ProtocolError."""
-        monkeypatch.setenv("REPRO_PROBE_CHECK", "1")
+        """With REPRO_CHECK=1 every memo hit is re-verified against a
+        fresh computation; a stale entry raises ProtocolError."""
+        monkeypatch.setenv("REPRO_CHECK", "1")
         experiment = UpdateExperiment("tbegin", 8, 4, 4, iterations=5)
         checked = run_update_experiment(experiment)
-        monkeypatch.delenv("REPRO_PROBE_CHECK")
+        monkeypatch.delenv("REPRO_CHECK")
         plain = run_update_experiment(experiment)
         assert checked.cycles == plain.cycles
         assert ([c.instructions for c in checked.cpus]
                 == [c.instructions for c in plain.cpus])
 
     def test_memo_serves_hits_and_passes_check(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROBE_CHECK", "1")
+        monkeypatch.setenv("REPRO_CHECK", "1")
         duo = EngineHarness(n_cpus=2)
         line = 0x90000
         # Ping-pong the line so probes repeat between coherence events.

@@ -105,6 +105,22 @@ class TestCache:
         [result] = run_tasks([("update", experiment)], cache=cache)
         assert_identical(result, run_update_experiment(experiment))
 
+    def test_spin_elide_mode_is_keyed(self, tmp_path, monkeypatch):
+        # Elision leaves the architected result alone but changes the
+        # scheduler counters, so one shared cache must not serve an
+        # elided run's counters to a REPRO_SPIN_ELIDE=0 run.
+        cache = ResultCache(str(tmp_path))
+        tasks = [("update", UpdateExperiment("coarse", 8, 1000, 4,
+                                             iterations=3))]
+        monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
+        [elided] = run_tasks(tasks, cache=cache)
+        monkeypatch.setenv("REPRO_SPIN_ELIDE", "0")
+        [plain] = run_tasks(tasks, cache=cache)
+        assert_identical(elided, plain)
+        assert elided.sched["parks"] > 0
+        assert plain.sched["parks"] == 0
+        assert elided.sched != plain.sched
+
 
 class TestPayloadRoundTrip:
     def test_sim_result_payload_round_trip(self):

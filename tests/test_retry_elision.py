@@ -1,29 +1,29 @@
-"""Tests for retry-storm elision and the calendar event queue.
+"""Tests for retry-storm elision and the parked-chain scheduler paths.
 
-Retry parking extends the PR 5 spin-elision contract one level down:
-a certified ``FetchRetry`` back-off chain is advanced by scheduler
-ticks instead of re-executed instructions, and the bucketed calendar
-queue replaces the binary heap underneath — both under the same strict
-bit-identity contract. The tests pin that contract from several angles:
+Retry parking extends the spin-elision contract one level down: a
+certified ``FetchRetry`` back-off chain is advanced by scheduler ticks
+instead of re-executed instructions, under the same strict bit-identity
+contract. The tests pin that contract from several angles:
 
 * PPA back-off delay identity at the interesting abort counts (0, 1,
   the exponent knee at 6, the clamp at 7, and far past it at 100), and
   end-to-end reject/abort identity on a constrained-TX point;
 * certification: the chain never arms (and never parks) when the
   watched line's exclusive owner changes mid-backoff;
-* the parked-deadlock diagnostic names a retry waiter's watched block;
+* the parked-deadlock diagnostic names a spin or retry waiter's
+  watched block;
 * pinned bit-identity on coarse/fine/rwlock 48-CPU points, serial and
-  through the parallel runner, in all four mode combinations
-  (``REPRO_SPIN_ELIDE`` x ``REPRO_HEAP_SCHED``);
-* a randomized heap-vs-calendar differential on the queue itself,
-  resize path included;
-* ``REPRO_RETRY_CHECK=1`` differential replay, with and without
-  schedule jitter (retry parking stays armed under jitter).
+  through the parallel runner, with elision on and off
+  (``REPRO_SPIN_ELIDE``), each twice under the labels of the retired
+  calendar/heap queue switch;
+* cycle budgets that stop the coarse point mid-chain, against the
+  non-elided reference;
+* ``REPRO_CHECK=1`` differential replay, with and without schedule
+  jitter (retry parking stays armed under jitter) and under a budget.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from types import SimpleNamespace
 
@@ -38,7 +38,7 @@ from repro.errors import MachineStateError
 from repro.mem.xi import WATCH_BLOCK_MASK
 from repro.params import ZEC12
 from repro.sim.machine import Machine
-from repro.sim.scheduler import CalendarEventQueue, Scheduler
+from repro.sim.scheduler import Scheduler
 from repro.verify.jitter import ScheduleJitter
 from repro.workloads.pool import PoolLayout, build_update_program
 
@@ -56,9 +56,11 @@ PINNED_48CPU = [
 
 IDS = [f"{e.scheme}-{e.n_cpus}" for e, _ in PINNED_48CPU]
 
-#: The four scheduler mode combinations every pinned point must agree
-#: across: spin/retry elision on/off x calendar/heap event queue.
-MODES = [("1", "0"), ("1", "1"), ("0", "0"), ("0", "1")]
+#: Spin/retry elision on/off, crossed with the event-queue label of the
+#: retired calendar/heap queue switch. Both queue labels now run the
+#: one ``heapq`` drain, so each point runs twice per mode in one
+#: process and must land on the same pin both times.
+MODES = [("1", "cal"), ("1", "heap"), ("0", "cal"), ("0", "heap")]
 MODE_IDS = ["elide-cal", "elide-heap", "plain-cal", "plain-heap"]
 
 
@@ -193,7 +195,37 @@ class TestRetryCertification:
         assert not cpu._retry_armed
 
 
+def _machine(experiment, spin_elide=None):
+    machine = Machine(ZEC12.with_cpus(experiment.n_cpus),
+                      spin_elide=spin_elide)
+    program = build_update_program(
+        experiment.scheme,
+        PoolLayout(experiment.pool_size),
+        n_vars=experiment.n_vars,
+        iterations=experiment.iterations,
+        fallback_mode=machine.fallback_mode,
+    )
+    for _ in range(experiment.n_cpus):
+        machine.add_program(program)
+    return machine
+
+
 class TestDeadlockDiagnostic:
+    def test_diagnostic_names_spin_watched_block(self):
+        # The LineWatchTable, not the event queue, is the ground truth
+        # for what a parked CPU waits on: the diagnostic names the block.
+        machine = Machine(ZEC12.with_cpus(4))
+        cpu = machine.add_program(assemble([HALT()]))
+        line = 0x8000
+        cpu.engine.fabric.watches.add(0, line, line & WATCH_BLOCK_MASK)
+        scheduler = Scheduler(machine.drivers)
+        scheduler._parked[0] = None  # the guard only reads the indices
+        with pytest.raises(MachineStateError) as exc:
+            scheduler._raise_parked_deadlock()
+        assert str(exc.value).endswith(
+            "cpu 0 parked on block 0x8000 (line 0x8000)"
+        )
+
     def test_diagnostic_names_retry_watched_block(self):
         machine = Machine(ZEC12.with_cpus(4))
         cpu = machine.add_program(assemble([HALT()]))
@@ -210,22 +242,18 @@ class TestDeadlockDiagnostic:
 
 class TestPinnedBitIdentity:
     @pytest.mark.parametrize("experiment,pinned", PINNED_48CPU, ids=IDS)
-    @pytest.mark.parametrize("elide,heap", MODES, ids=MODE_IDS)
-    def test_serial(self, experiment, pinned, elide, heap, monkeypatch):
+    @pytest.mark.parametrize("elide,queue", MODES, ids=MODE_IDS)
+    def test_serial(self, experiment, pinned, elide, queue, monkeypatch):
         monkeypatch.setenv("REPRO_SPIN_ELIDE", elide)
-        monkeypatch.setenv("REPRO_HEAP_SCHED", heap)
         result = run_update_experiment(experiment)
         assert _summary(result) == pinned
         if elide == "0":
             assert result.sched["retry_parks"] == 0
-        if heap == "1":
-            assert result.sched["bucket_max_occupancy"] == 0
 
-    @pytest.mark.parametrize("elide,heap", MODES, ids=MODE_IDS)
-    def test_parallel(self, elide, heap, monkeypatch):
+    @pytest.mark.parametrize("elide,queue", MODES, ids=MODE_IDS)
+    def test_parallel(self, elide, queue, monkeypatch):
         # Workers fork after the env change, so they inherit it.
         monkeypatch.setenv("REPRO_SPIN_ELIDE", elide)
-        monkeypatch.setenv("REPRO_HEAP_SCHED", heap)
         results = run_tasks(
             [("update", experiment) for experiment, _ in PINNED_48CPU],
             workers=2,
@@ -238,7 +266,6 @@ class TestPinnedBitIdentity:
         # Guards the identity matrix against vacuity: the contended CSG
         # point must actually park retry waiters (and tick them).
         monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
-        monkeypatch.delenv("REPRO_HEAP_SCHED", raising=False)
         result = run_update_experiment(PINNED_48CPU[0][0])
         sched = result.sched
         assert sched["retry_parks"] > 0
@@ -247,76 +274,36 @@ class TestPinnedBitIdentity:
         assert sched["events"] > 0
 
 
-class TestCalendarQueue:
-    def test_randomized_heap_differential(self):
-        # Tiny bucket array (4 buckets of 4 cycles) so resizes, cursor
-        # rewinds, and whole-year-empty jumps all trigger; the calendar
-        # must reproduce the heap's (time, seq) pop order exactly.
-        rng = random.Random(20260808)
-        for trial in range(25):
-            cal = CalendarEventQueue(shift=2, nbuckets=4)
-            heap = []
-            seq = 0
-            now = 0
-            for _ in range(600):
-                if heap and rng.random() < 0.45:
-                    expected = heapq.heappop(heap)
-                    assert cal.pop() == expected
-                    now = expected[0]
-                else:
-                    # Mostly near-future pushes with occasional far
-                    # jumps (the distribution the bucket sizing targets)
-                    # and same-time pushes to exercise FIFO-by-seq.
-                    dt = rng.choice((0, 0, 1, 2, 3, 5, 17, 130, 341,
-                                     4096, 70000))
-                    seq += 1
-                    item = (now + dt, seq, seq % 48)
-                    cal.push(item)
-                    heapq.heappush(heap, item)
-                assert cal.n == len(heap)
-            while heap:
-                assert cal.pop() == heapq.heappop(heap)
-            assert cal.resizes > 0
-            assert cal.max_occupancy > 0
+class TestCycleBudgetBoundary:
+    #: Budgets chosen to land at the very start, deep inside, and just
+    #: short of the end of the coarse point's 280111-cycle run — the
+    #: middle ones stop with spinners and retry waiters parked.
+    BUDGETS = (1000, 57_001, 137_777, 279_000)
 
-    def test_pushpop_matches_heap(self):
-        rng = random.Random(42)
-        cal = CalendarEventQueue(shift=2, nbuckets=4)
-        heap = []
-        seq = 0
-        now = 0
-        for _ in range(50):
-            seq += 1
-            cal.push((now + rng.randrange(64), seq, 0))
-        # Mirror the calendar's contents into the reference heap.
-        heap = sorted(item for b in cal.buckets for item in b)
-        heapq.heapify(heap)
-        for _ in range(300):
-            seq += 1
-            item = (now + rng.randrange(64), seq, 0)
-            expected = heapq.heappushpop(heap, item)
-            got = cal.pushpop(item)
-            assert got == expected
-            now = expected[0]
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_budget_identity_mid_chain(self, budget):
+        experiment = PINNED_48CPU[0][0]
+        elided = _machine(experiment, spin_elide=True).run(max_cycles=budget)
+        plain = _machine(experiment, spin_elide=False).run(max_cycles=budget)
+        assert elided == plain
+        assert elided.aborted_early
+        assert plain.sched["parks"] == plain.sched["retry_parks"] == 0
 
-    def test_peek_time_and_empty(self):
-        cal = CalendarEventQueue(shift=2, nbuckets=4)
-        assert cal.peek_time() is None
-        cal.push((100, 1, 0))
-        cal.push((3, 2, 0))
-        assert cal.peek_time() == 3
-        assert cal.pop() == (3, 2, 0)
-        assert cal.pop() == (100, 1, 0)
-        assert cal.peek_time() is None
-
-    def test_nbuckets_must_be_power_of_two(self):
-        with pytest.raises(ValueError):
-            CalendarEventQueue(shift=2, nbuckets=3)
+    def test_budget_truncates_parked_chains(self):
+        # At a deep mid-run budget the elided run must actually hold
+        # parked chains when the clamp hits, or the identity above is
+        # vacuous.
+        experiment = PINNED_48CPU[0][0]
+        elided = _machine(experiment, spin_elide=True).run(
+            max_cycles=137_777
+        )
+        assert elided.sched["spin_steps"] > 0
+        assert elided.sched["retry_ticks"] > 0
 
 
 class TestRetryCheck:
     def test_differential_run_passes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRY_CHECK", "1")
+        monkeypatch.setenv("REPRO_CHECK", "1")
         monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
         experiment = UpdateExperiment("coarse", 12, 1000, 4, iterations=5)
         result = run_update_experiment(experiment)
@@ -327,16 +314,20 @@ class TestRetryCheck:
         # draw the per-step perturbation in exact pop order); the
         # differential against the jittered non-elided reference must
         # come back bit-identical, with parking demonstrably engaged.
-        monkeypatch.setenv("REPRO_RETRY_CHECK", "1")
+        monkeypatch.setenv("REPRO_CHECK", "1")
         monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
+        experiment = UpdateExperiment("coarse", 12, 1000, 4, iterations=5)
         for seed in (0, 7):
-            machine = Machine(ZEC12.with_cpus(12))
-            program = build_update_program(
-                "coarse", PoolLayout(1000), n_vars=4, iterations=5
-            )
-            for _ in range(12):
-                machine.add_program(program)
+            machine = _machine(experiment)
             machine.schedule_perturb = ScheduleJitter(seed, 9)
             result = machine.run()
             assert result.sched["retry_parks"] > 0
             assert result.sched["parks"] == 0  # spin parking stays off
+
+    def test_differential_with_cycle_budget(self, monkeypatch):
+        # The replay must also agree when the run stops mid-chain.
+        monkeypatch.setenv("REPRO_CHECK", "1")
+        monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
+        experiment = UpdateExperiment("coarse", 12, 1000, 4, iterations=5)
+        result = run_update_experiment(experiment, max_cycles=9000)
+        assert result.aborted_early

@@ -13,7 +13,7 @@ tests here pin that contract from several angles:
 * false-positive detection: loops that mutate memory, or whose register
   effects are not idempotent, must never park;
 * the ``max_cycles`` budget boundary and the parked-deadlock guard;
-* ``REPRO_SPIN_CHECK=1`` differential runs, standalone and through the
+* ``REPRO_CHECK=1`` differential runs, standalone and through the
   ``repro.verify`` fuzzer (whose schedule jitter disables elision — the
   check must still pass).
 """
@@ -255,7 +255,7 @@ class TestBudgetAndDeadlock:
 class TestSpinCheck:
     def test_differential_run_passes(self, monkeypatch):
         monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
-        monkeypatch.setenv("REPRO_SPIN_CHECK", "1")
+        monkeypatch.setenv("REPRO_CHECK", "1")
         assert _summary(
             run_update_experiment(PINNED_POINTS[2][0])
         ) == PINNED_POINTS[2][1]
@@ -263,6 +263,6 @@ class TestSpinCheck:
     def test_fuzzer_with_jitter_stays_green(self, monkeypatch):
         # Fuzz cases install schedule jitter, which disables elision for
         # that run; the differential check must still come back clean.
-        monkeypatch.setenv("REPRO_SPIN_CHECK", "1")
+        monkeypatch.setenv("REPRO_CHECK", "1")
         report = fuzz(seed=0, n_cases=5, shrink=False)
         assert report.ok, [f.violations for f in report.failures]

@@ -1,19 +1,23 @@
-"""Bit-identity tests for virtual sequence numbering (``REPRO_VIRTSEQ``).
+"""Scheduler counter identity across the retired virtual-sequence modes.
 
-The contract under test: de-materializing parked spin/retry chains —
-advancing their events off-queue with analytically assigned sequence
-numbers, fast-forwarding closed-form stretches, and re-materializing at
-wake or budget — changes *nothing* observable. Every pinned 48-CPU
-point must produce byte-identical results across the full flag matrix
-(VIRTSEQ x SPIN_ELIDE x HEAP_SCHED), serial and parallel, with the
-``REPRO_VIRTSEQ_CHECK=1`` differential replay (standalone and under
-fuzzer jitter) and cycle-budget runs that stop mid-virtual-chain.
+The scheduler used to offer two drains (virtual sequence numbering on,
+``virt``, or off, ``mat``) over two event queues (calendar, ``cal``, or
+bare heap, ``heap``). Before they were deleted, all four combinations
+gave the same results *and* the same ``SimResult.sched`` counters on the
+pinned 48-CPU points, under spin/retry elision on (``elide``) and off
+(``plain``). The one materialized ``heapq`` drain that remains must
+reproduce both, so the counters are pinned here next to the results.
+
+The test ids keep the labels of that flag matrix. Only the elision
+label still selects a mode; the ``virt``/``mat`` and ``cal``/``heap``
+labels now all run the same drain, so every point runs four times per
+mode in one process, which also catches state leaking from one
+``Machine`` into the next. ``REPRO_CHECK=1`` replaces the old
+virtual-sequence differential replay and is exercised on the rwlock
+point, which the retry-elision tests do not replay.
 """
 
 from __future__ import annotations
-
-import heapq
-import random
 
 import pytest
 
@@ -25,19 +29,14 @@ from repro.errors import MachineStateError
 from repro.mem.xi import WATCH_BLOCK_MASK
 from repro.params import ZEC12
 from repro.sim.machine import Machine
-from repro.sim.scheduler import (
-    AdaptiveEventQueue,
-    CalendarEventQueue,
-    HeapEventQueue,
-    Scheduler,
-)
+from repro.sim.scheduler import Scheduler
 from repro.verify.jitter import ScheduleJitter
 from repro.workloads.pool import PoolLayout, build_update_program
 
 #: (cycles, instructions, tx_aborted, xi_rejects) pinned from the
 #: reference implementation — the same three 48-CPU points the
 #: retry-elision matrix pins (fine-grained locking is single-variable
-#: by design). Virtual sequence numbering must never move them.
+#: by design).
 PINNED_48CPU = [
     (UpdateExperiment("coarse", 48, 1000, 4, iterations=3),
      (280111, 186668, 0, 0)),
@@ -49,8 +48,23 @@ PINNED_48CPU = [
 
 IDS = [f"{e.scheme}-{e.n_cpus}" for e, _ in PINNED_48CPU]
 
-#: The full scheduler mode matrix: virtual seq numbering on/off x
-#: spin/retry elision on/off x calendar/heap event queue.
+SCHED_KEYS = ("events", "parks", "retry_parks", "spin_steps",
+              "heap_elided_steps")
+
+#: ``SimResult.sched`` counters (in ``SCHED_KEYS`` order) per scheme and
+#: elision mode, identical in every combination of the retired
+#: virtual-sequence and event-queue modes.
+PINNED_SCHED = {
+    ("coarse", "1"): (236422, 1537, 1452, 178962, 1558),
+    ("coarse", "0"): (217624, 0, 0, 0, 20654),
+    ("fine", "1"): (2632, 0, 7, 0, 64),
+    ("fine", "0"): (2632, 0, 0, 0, 72),
+    ("rwlock", "1"): (8842, 0, 41, 0, 2121),
+    ("rwlock", "0"): (8842, 0, 0, 0, 3039),
+}
+
+#: The labels of the retired flag matrix: virtual seq numbering on/off
+#: x spin/retry elision on/off x calendar/heap event queue.
 VIRT_MODES = [
     (virtseq, elide, heap)
     for virtseq in ("1", "0")
@@ -74,8 +88,12 @@ def _summary(result):
     )
 
 
-def _machine(experiment, virtseq=None):
-    machine = Machine(ZEC12.with_cpus(experiment.n_cpus), virtseq=virtseq)
+def _sched(result):
+    return tuple(result.sched[key] for key in SCHED_KEYS)
+
+
+def _machine(experiment):
+    machine = Machine(ZEC12.with_cpus(experiment.n_cpus))
     program = build_update_program(
         experiment.scheme,
         PoolLayout(experiment.pool_size),
@@ -94,24 +112,15 @@ class TestFlagMatrixIdentity:
                              ids=VIRT_MODE_IDS)
     def test_serial(self, experiment, pinned, virtseq, elide, heap,
                     monkeypatch):
-        monkeypatch.setenv("REPRO_VIRTSEQ", virtseq)
         monkeypatch.setenv("REPRO_SPIN_ELIDE", elide)
-        monkeypatch.setenv("REPRO_HEAP_SCHED", heap)
         result = run_update_experiment(experiment)
         assert _summary(result) == pinned
-        if virtseq == "0":
-            # Opt-out: the queue is fully materialized.
-            assert result.sched["virtual_events"] == 0
-            assert result.sched["fast_forwarded_events"] == 0
-            assert result.sched["queue_switches"] == 0
-        if heap == "1":
-            # The forced bare heap bypasses the adaptive queue.
-            assert result.sched["queue_switches"] == 0
+        assert _sched(result) == PINNED_SCHED[(experiment.scheme, elide)]
 
     @pytest.mark.parametrize("virtseq", ["1", "0"], ids=["virt", "mat"])
     def test_parallel(self, virtseq, monkeypatch):
-        # Workers fork after the env change, so they inherit it.
-        monkeypatch.setenv("REPRO_VIRTSEQ", virtseq)
+        # Workers fork after the env change, so they inherit it; the
+        # sched counters must survive the trip back from the worker.
         monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
         results = run_tasks(
             [("update", experiment) for experiment, _ in PINNED_48CPU],
@@ -120,191 +129,64 @@ class TestFlagMatrixIdentity:
         assert [_summary(r) for r in results] == [
             pinned for _, pinned in PINNED_48CPU
         ]
+        assert [_sched(r) for r in results] == [
+            PINNED_SCHED[(experiment.scheme, "1")]
+            for experiment, _ in PINNED_48CPU
+        ]
 
     def test_virtual_advance_engages_on_coarse_point(self, monkeypatch):
-        # Guards the matrix against vacuity: the contended point must
-        # actually advance events off-queue under the default mode.
-        monkeypatch.delenv("REPRO_VIRTSEQ", raising=False)
+        # Guards the matrix against vacuity: on the contended point,
+        # parked spinners must advance by scheduler ticks rather than
+        # executed instructions, and every parked chain must be woken
+        # before the run ends.
         monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
-        monkeypatch.delenv("REPRO_HEAP_SCHED", raising=False)
-        result = run_update_experiment(PINNED_48CPU[0][0])
+        experiment, pinned = PINNED_48CPU[0]
+        result = run_update_experiment(experiment)
         sched = result.sched
-        assert sched["virtual_events"] > 0
-        assert sched["events"] >= sched["virtual_events"]
-        assert sched["virtual_events"] >= sched["fast_forwarded_events"]
+        assert sched["parks"] == sched["wakes"] > 0
+        assert 0 < sched["spin_steps"] < pinned[1]
 
 
 class TestVirtseqCheck:
     def test_differential_run_passes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VIRTSEQ_CHECK", "1")
+        monkeypatch.setenv("REPRO_CHECK", "1")
         monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
-        experiment = UpdateExperiment("coarse", 12, 1000, 4, iterations=5)
+        experiment = UpdateExperiment("rwlock", 12, 1000, 4, iterations=5)
         result = run_update_experiment(experiment)
-        assert result.sched["virtual_events"] > 0
+        assert result.sched["retry_parks"] > 0
 
     def test_differential_under_jitter(self, monkeypatch):
         # Spin parking stays off under perturbation hooks, but retry
-        # parking (and its virtual ticks, which draw the jitter in
-        # exact pop order) survives — the materialized replay must come
-        # back bit-identical with parking demonstrably engaged.
-        monkeypatch.setenv("REPRO_VIRTSEQ_CHECK", "1")
+        # parking (whose ticks draw the jitter in exact pop order)
+        # survives — the non-elided replay must come back bit-identical
+        # with parking demonstrably engaged.
+        monkeypatch.setenv("REPRO_CHECK", "1")
         monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
-        experiment = UpdateExperiment("coarse", 12, 1000, 4, iterations=5)
-        for seed in (0, 7):
+        experiment = UpdateExperiment("rwlock", 12, 1000, 4, iterations=5)
+        for seed in (3, 12345):
             machine = _machine(experiment)
             machine.schedule_perturb = ScheduleJitter(seed, 9)
             result = machine.run()
             assert result.sched["retry_parks"] > 0
             assert result.sched["parks"] == 0  # spin parking stays off
 
-    def test_differential_with_cycle_budget(self, monkeypatch):
-        # The replay must also agree when the run stops mid-chain.
-        monkeypatch.setenv("REPRO_VIRTSEQ_CHECK", "1")
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
-        experiment = UpdateExperiment("coarse", 12, 1000, 4, iterations=5)
-        result = run_update_experiment(experiment, max_cycles=9000)
-        assert result.aborted_early
-
-
-class TestCycleBudgetBoundary:
-    #: Budgets chosen to land at the very start, deep inside, and just
-    #: short of the end of the coarse point's 280111-cycle run — the
-    #: middle ones stop mid-virtual-chain with every spinner parked.
-    BUDGETS = (1000, 57_001, 137_777, 279_000)
-
-    @pytest.mark.parametrize("budget", BUDGETS)
-    def test_budget_identity_mid_chain(self, budget):
-        experiment = PINNED_48CPU[0][0]
-        virt = _machine(experiment, virtseq=True).run(max_cycles=budget)
-        mat = _machine(experiment, virtseq=False).run(max_cycles=budget)
-        assert virt == mat
-        assert virt.aborted_early
-        assert mat.sched["virtual_events"] == 0
-
-    def test_budget_truncates_virtual_chains(self):
-        # At a deep mid-run budget the virtual run must actually have
-        # advanced events off-queue before the clamp.
-        experiment = PINNED_48CPU[0][0]
-        virt = _machine(experiment, virtseq=True).run(max_cycles=137_777)
-        assert virt.sched["virtual_events"] > 0
-
 
 class TestDeadlockDiagnosticOffQueue:
-    def test_diagnostic_names_block_with_head_off_queue(self):
-        # All runnable CPUs done, the lone waiter's head de-materialized
-        # into the off-queue table: the diagnostic must still name the
-        # watched block (the LineWatchTable, not the event queue, is
-        # the ground truth) and flag the head as off-queue.
+    def test_diagnostic_without_off_queue_head(self):
+        # A spin waiter and a retry waiter left parked together: the
+        # diagnostic names both watched blocks, and no longer speaks of
+        # off-queue heads now that every parked chain stays on the heap.
         machine = Machine(ZEC12.with_cpus(4))
-        cpu = machine.add_program(assemble([HALT()]))
-        line = 0x8000
-        cpu.engine.fabric.watches.add(0, line, line & WATCH_BLOCK_MASK)
-        scheduler = Scheduler(machine.drivers, virtseq=True)
+        spinner = machine.add_program(assemble([HALT()]))
+        retrier = machine.add_program(assemble([HALT()]))
+        spinner.engine.fabric.watches.add(0, 0x8000, 0x8000 & WATCH_BLOCK_MASK)
+        retrier.engine.add_retry_watch(0x9000, 0x9000 & WATCH_BLOCK_MASK)
+        scheduler = Scheduler(machine.drivers)
         scheduler._parked[0] = None  # the guard only reads the indices
-        scheduler._vmap[0] = [0, 0, 0, None, None]  # head is off-queue
+        scheduler._parked[1] = None
         with pytest.raises(MachineStateError) as exc:
             scheduler._raise_parked_deadlock()
         message = str(exc.value)
         assert "cpu 0 parked on block 0x8000" in message
-        assert "head off-queue" in message
-
-    def test_diagnostic_without_off_queue_head(self):
-        machine = Machine(ZEC12.with_cpus(4))
-        cpu = machine.add_program(assemble([HALT()]))
-        line = 0x8000
-        cpu.engine.add_retry_watch(line, line & WATCH_BLOCK_MASK)
-        scheduler = Scheduler(machine.drivers, virtseq=True)
-        scheduler._parked[0] = None
-        with pytest.raises(MachineStateError) as exc:
-            scheduler._raise_parked_deadlock()
-        message = str(exc.value)
-        assert "cpu 0 retry-parked on block 0x8000" in message
+        assert "cpu 1 retry-parked on block 0x9000" in message
         assert "off-queue" not in message
-
-
-class TestAdaptiveQueue:
-    def test_randomized_switchover_differential(self):
-        # Drive the adaptive queue through both hysteresis thresholds
-        # with randomized push/pop/pushpop traffic, calling
-        # maybe_switch() on a cadence like the scheduler does; the pop
-        # stream must match a reference heap exactly across switches.
-        rng = random.Random(20260808)
-        for trial in range(10):
-            q = AdaptiveEventQueue()
-            ref = []
-            seq = 0
-            now = 0
-            switches_seen = 0
-            # Growth, drain, and regrowth phases cross HIGH then LOW
-            # then HIGH again.
-            phases = [(0.25, 500), (0.80, 700), (0.30, 400)]
-            for pop_bias, ops in phases:
-                for _ in range(ops):
-                    roll = rng.random()
-                    if ref and roll < pop_bias:
-                        expected = heapq.heappop(ref)
-                        assert q.pop() == expected
-                        now = expected[0]
-                    elif ref and roll < pop_bias + 0.1:
-                        seq += 1
-                        item = (now + rng.randrange(64), seq, seq % 48)
-                        expected = heapq.heappushpop(ref, item)
-                        assert q.pushpop(item) == expected
-                        now = expected[0]
-                    else:
-                        dt = rng.choice((0, 0, 1, 2, 3, 5, 17, 130, 341,
-                                         4096))
-                        seq += 1
-                        item = (now + dt, seq, seq % 48)
-                        q.push(item)
-                        heapq.heappush(ref, item)
-                    assert q.n == len(ref)
-                    if rng.random() < 0.05 and q.maybe_switch():
-                        switches_seen += 1
-            while ref:
-                assert q.pop() == heapq.heappop(ref)
-            assert q.switches == switches_seen
-            assert q.switches >= 2, "matrix is vacuous without switchovers"
-
-    def test_hysteresis_band_prevents_thrash(self):
-        q = AdaptiveEventQueue()
-        for seq in range(AdaptiveEventQueue.HIGH):
-            q.push((seq, seq, 0))
-        # At HIGH occupancy exactly, still the heap (strictly-above
-        # trips the switch).
-        assert not q.maybe_switch()
-        q.push((999, 999, 0))
-        assert q.maybe_switch()
-        assert not q._is_heap
-        # Inside the band: no switch back.
-        while q.n > AdaptiveEventQueue.LOW:
-            q.pop()
-        assert not q.maybe_switch()
-        q.pop()
-        assert q.maybe_switch()
-        assert q._is_heap
-        assert q.switches == 2
-
-    def test_switch_preserves_stat_bases(self):
-        q = AdaptiveEventQueue()
-        for seq in range(AdaptiveEventQueue.HIGH + 1):
-            q.push((seq % 7, seq, 0))
-        assert q.maybe_switch()
-        occ_on_calendar = q.max_occupancy
-        while q.n >= AdaptiveEventQueue.LOW:
-            q.pop()
-        assert q.maybe_switch()
-        # The calendar's high-water mark survives the switch back.
-        assert q.max_occupancy >= occ_on_calendar
-
-    def test_scheduler_queue_selection(self, monkeypatch):
-        machine = Machine(ZEC12.with_cpus(2))
-        machine.add_program(assemble([HALT()]))
-        monkeypatch.delenv("REPRO_HEAP_SCHED", raising=False)
-        assert isinstance(Scheduler(machine.drivers, virtseq=True)._queue,
-                          AdaptiveEventQueue)
-        assert isinstance(Scheduler(machine.drivers, virtseq=False)._queue,
-                          CalendarEventQueue)
-        monkeypatch.setenv("REPRO_HEAP_SCHED", "1")
-        assert isinstance(Scheduler(machine.drivers, virtseq=True)._queue,
-                          HeapEventQueue)
