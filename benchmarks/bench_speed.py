@@ -54,9 +54,10 @@ BASELINES = {
         UpdateExperiment("tbeginc", 100, 10_000, 4, iterations=15),
         2.863, 27_200, 28_702,
     ),
-    # The two points below were added with the spin-wait elision PR, so
-    # their "seed" wall times were measured on the same container with
-    # REPRO_SPIN_ELIDE=0 (the pre-elision simulator); counts are exact.
+    # The two points below were added with spin-wait elision, so their
+    # "seed" wall times are pre-elision measurements: the same simulator
+    # with elision switched off, on the same machine as the other seed
+    # times. Counts are exact.
     "update-fine-48cpu": (
         UpdateExperiment("fine", 48, 10_000, 1, iterations=15),
         0.118, 10_904, 14_569,

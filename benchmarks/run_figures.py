@@ -47,7 +47,6 @@ from repro.bench.figures import (
 from repro.bench.lru import FootprintPoint, format_series
 from repro.bench.parallel import (
     FootprintTask,
-    ResultCache,
     default_cache_root,
     parallel_sweep,
     run_tasks,
@@ -57,6 +56,7 @@ from repro.bench.report import (
     render_chart,
     series_from_points,
 )
+from repro.serve.store import ResultStore
 from repro.sim.metrics import merge_summaries, write_jsonl
 from repro.workloads.hashtable import HashtableExperiment
 from repro.workloads.queue import QueueExperiment
@@ -100,7 +100,8 @@ def main() -> int:
     grid = QUICK_CPU_GRID if args.quick else DEFAULT_CPU_GRID
     iters = 15 if args.quick else 25
     workers = max(1, args.workers)
-    cache = None if args.no_cache else ResultCache(default_cache_root())
+    cache = (None if args.no_cache
+             else ResultStore(default_cache_root(), remote_root=""))
     use_metrics = args.metrics
 
     client = None

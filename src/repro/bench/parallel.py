@@ -9,11 +9,11 @@ in which order. This module exploits that in two ways:
 * a :func:`run_tasks` executor fans points out across worker processes
   with :mod:`multiprocessing` and merges the results **in submission
   order**, so serial and parallel runs are bit-identical;
-* an on-disk JSON :class:`ResultCache` keyed by a hash of (experiment,
-  params, code version) lets re-runs of ``benchmarks/run_figures.py``
-  skip already-computed points. The code-version component hashes the
-  ``repro`` package sources, so editing the simulator invalidates the
-  cache automatically.
+* a :class:`~repro.serve.store.ResultStore` keyed by a hash of
+  (experiment, params, code version) lets re-runs of
+  ``benchmarks/run_figures.py`` skip already-computed points. The
+  code-version component hashes the ``repro`` package sources, so
+  editing the simulator invalidates the cache automatically.
 
 A *task* is ``(kind, experiment)`` where ``kind`` selects the runner:
 
@@ -28,9 +28,8 @@ vacation   :class:`~repro.workloads.stamp.VacationExperiment` ``SimResult``
 kmeans     :class:`~repro.workloads.stamp.KmeansExperiment`   ``SimResult``
 ========== ============================================ =================
 
-The same tasks (and the same keys) drive the scale-out sweep service in
-:mod:`repro.serve`, which generalises :class:`ResultCache` into a tiered
-content-addressed store and fans tasks out across worker processes and
+The same tasks, keys and store drive the scale-out sweep service in
+:mod:`repro.serve`, which fans tasks out across worker processes and
 machines — still bit-identical to a serial :func:`run_tasks` run.
 """
 
@@ -44,10 +43,9 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.footprint import resolve_policy_spec
-from ..cpu.interpreter import resolve_spin_elide
 from ..params import MachineParams, ZEC12
 from ..stm import resolve_fallback_mode
-from ..serve.store import atomic_write_json, read_json_payload
+from ..serve.store import ResultStore
 from ..sim.results import CpuResult, SimResult
 from ..workloads.hashtable import HashtableExperiment, run_hashtable_experiment
 from ..workloads.queue import QueueExperiment, run_queue_experiment
@@ -133,12 +131,13 @@ def result_from_payload(payload: Dict[str, Any]) -> Any:
 #: *resolved* fallback mode; v7: virtual sequence numbering — the
 #: ``SimResult.sched`` block gains the event-composition split; v8: that
 #: split is gone again, and keys carry the resolved spin-elide mode,
-#: on which the ``SimResult.sched`` counters depend).
+#: on which the ``SimResult.sched`` counters depend; v9: elision is
+#: unconditional, so the spin-elide key field is gone).
 #: Bumped whenever the stored-result format or the memory/store-cache
 #: semantics change in a way the source hash alone should not be trusted
 #: to catch (e.g. a rename-only refactor that keeps byte-identical
 #: sources elsewhere, or an external cache shared across checkouts).
-DATA_PLANE_VERSION = 8
+DATA_PLANE_VERSION = 9
 
 _CODE_VERSION: Optional[str] = None
 
@@ -197,11 +196,7 @@ def task_key(kind: str, experiment: Any, params: MachineParams,
     ``$REPRO_FOOTPRINT_POLICY``, which ``asdict(params)`` cannot see —
     without this, a cache written under one policy would be served to
     runs under another. The resolved hybrid-TM fallback mode is keyed
-    the same way (``$REPRO_FALLBACK_MODE``). The resolved
-    ``$REPRO_SPIN_ELIDE`` mode is keyed too: the architected result is
-    bit-identical either way, but the ``SimResult.sched`` counters
-    (events, parks, spin steps, ...) are not, so an entry written under
-    one mode must never satisfy a run observing the other.
+    the same way (``$REPRO_FALLBACK_MODE``).
     """
     blob = json.dumps(
         {
@@ -210,7 +205,6 @@ def task_key(kind: str, experiment: Any, params: MachineParams,
             "params": asdict(params),
             "footprint_policy": resolve_policy_spec(params),
             "fallback_mode": resolve_fallback_mode(params),
-            "spin_elide": resolve_spin_elide(),
             "code": code_version(),
             "data_plane": DATA_PLANE_VERSION,
             "python": f"{sys.version_info[0]}.{sys.version_info[1]}",
@@ -222,32 +216,6 @@ def task_key(kind: str, experiment: Any, params: MachineParams,
         default=str,
     )
     return hashlib.sha256(blob.encode()).hexdigest()[:32]
-
-
-class ResultCache:
-    """One JSON file per computed point under ``root``.
-
-    The single-directory ancestor of the tiered
-    :class:`repro.serve.store.ResultStore`; both share the same atomic
-    write/tolerant read helpers, so a cache directory doubles as the
-    store's disk tier. ``put`` publishes via a unique tmp file +
-    ``os.replace`` (atomic even with concurrent same-key writers across
-    processes *and* threads) and ``get`` treats torn, corrupt, or
-    wrong-shaped entries as misses, so a crashed or racing writer can
-    never poison later sweeps.
-    """
-
-    def __init__(self, root: str) -> None:
-        self.root = root
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.root, key + ".json")
-
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        return read_json_payload(self._path(key))
-
-    def put(self, key: str, payload: Dict[str, Any]) -> None:
-        atomic_write_json(self._path(key), payload)
 
 
 def default_cache_root() -> str:
@@ -305,15 +273,16 @@ def run_tasks(
     tasks: Sequence[Task],
     params: MachineParams = ZEC12,
     workers: int = 1,
-    cache: Optional[ResultCache] = None,
+    cache: Optional[ResultStore] = None,
     metrics: bool = False,
 ) -> List[Any]:
     """Run experiment tasks, possibly in parallel, preserving order.
 
     Results come back in submission order regardless of ``workers``, and
     each point's simulation is fully self-seeded, so the outputs are
-    bit-identical to a serial run. With a ``cache``, already-computed
-    points are served from disk and fresh points are written back.
+    bit-identical to a serial run. With a ``cache`` store,
+    already-computed points are served from it and fresh points are
+    written back to every tier it has.
 
     With ``metrics=True`` each simulation task carries a metrics summary
     on its result; summaries merge deterministically because the result
@@ -375,7 +344,7 @@ def parallel_sweep(
     iterations: int = 50,
     params: MachineParams = ZEC12,
     workers: int = 1,
-    cache: Optional[ResultCache] = None,
+    cache: Optional[ResultStore] = None,
     metrics: bool = False,
     runner: Optional[Any] = None,
 ) -> List[SweepPoint]:

@@ -24,8 +24,7 @@ architected registers:
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..core.abort import TransactionAbort
 from ..core.engine import FetchRetry, RetryPark, SpinPark, TxEngine
@@ -42,14 +41,6 @@ from .assembler import Program
 from .interrupts import OsModel
 from .isa import Instruction, Mem
 from .registers import MASK64, RegisterFile
-
-
-def resolve_spin_elide(spin_elide: Optional[bool] = None) -> bool:
-    """The effective spin/retry-elision switch: an explicit argument
-    wins, else ``REPRO_SPIN_ELIDE=0`` turns elision off (default on)."""
-    if spin_elide is not None:
-        return spin_elide
-    return os.environ.get("REPRO_SPIN_ELIDE", "1") != "0"
 
 
 class _Decoded:
@@ -264,7 +255,7 @@ class IsaCpu:
         program: Program,
         os_model: OsModel,
         mark_sink: Optional[Callable[[str], None]] = None,
-        spin_elide: Optional[bool] = None,
+        spin_elide: bool = True,
     ) -> None:
         self.engine = engine
         self.program = program
@@ -287,15 +278,10 @@ class IsaCpu:
         #: and never rebound — alias them for the per-step checks.
         self._eng_per = engine.per
         self._eng_tx = engine.tx
-        #: IA -> ``(0, target)`` tuple for statically-resolved branches
-        #: (filled by :meth:`_predecode`); taken branches return it
-        #: directly instead of re-resolving the label per execution.
-        self._branch_tuple: Dict[int, tuple] = {}
-        #: Spin-wait elision master switch (``REPRO_SPIN_ELIDE=0``
-        #: disables detection, parking and batching; an explicit argument
-        #: overrides the environment — the REPRO_CHECK reference run uses
-        #: that).
-        self.spin_elide = resolve_spin_elide(spin_elide)
+        #: Spin-wait elision master switch: ``False`` disables detection,
+        #: parking and batching. Only the ``REPRO_CHECK`` reference
+        #: machine and white-box tests turn it off.
+        self.spin_elide = spin_elide
         #: Effective elision flag: armed by the scheduler (via
         #: :meth:`configure_spin_elide`) only when no per-step hooks
         #: (interrupt injection, schedule jitter) are installed. Off by
@@ -346,19 +332,18 @@ class IsaCpu:
         decoded: Dict[int, _Decoded] = {}
         dispatch = self._DISPATCH
         specialize = self._SPECIALIZE
+        labels = program.labels
         for loc in program:
             insn = loc.instruction
-            if insn.target is not None and insn.target in program.labels:
-                self._branch_tuple[loc.address] = (
-                    0, program.labels[insn.target]
-                )
-            handler = None
             factory = specialize.get(insn.mnemonic)
             if factory is not None:
-                # A per-instruction closure with operands (and branch
-                # targets) resolved once, at load time.
-                handler = factory(self, insn, loc.address)
-            if handler is None:
+                # A per-instruction closure with operands and the taken
+                # branch's ``(0, target)`` result resolved once, at load
+                # time (None when the target is absent or unknown).
+                target = labels.get(insn.target)
+                branch_tuple = None if target is None else (0, target)
+                handler = factory(self, insn, branch_tuple)
+            else:
                 handler = dispatch.get(insn.mnemonic)
                 if handler is None:
                     # Defer the failure to execution time (matching the
@@ -671,37 +656,22 @@ class IsaCpu:
         """Post-step certification hook (only called at candidate heads
         or while a tracker is active — see the call site in step())."""
         sp = self._spin
-        if sp is None:
+        if sp is None or ia not in sp.cand.members:
+            # No tracker yet, or execution left the candidate loop (e.g.
+            # into the CSG range of a lock acquire): start tracking if
+            # this instruction heads a candidate.
             cand = dec.spin_head
-            if cand is not None and self._elide_on:
-                sig = self._spin_sig()
-                sp = _SpinTracker(cand, sig)
-                self._spin = sp
-                if cand.cert_steps is not None and sig == cand.cert_snap:
-                    # The head just completed in the certified
-                    # head-completion state (see below): re-arm straight
-                    # from the cache, no observation iteration needed.
-                    sp.steps = cand.cert_steps
-                    sp.park_ia = cand.cert_steps[0][0]
-                    sp.park_states = cand.cert_states
+            if cand is None or not self._elide_on:
+                self._spin = None
+                return
+            sig = self._spin_sig()
+            sp = _SpinTracker(cand, sig)
+            self._spin = sp
+            # The head just completed: in the certified head-completion
+            # state, re-arm straight from the cache.
+            self._spin_rearm(sp, sig)
             return
         cand = sp.cand
-        if ia not in cand.members:
-            # Execution left the candidate loop (e.g. into the CSG range
-            # of a lock acquire); restart tracking if this instruction
-            # happens to head another candidate.
-            cand = dec.spin_head
-            if cand is not None and self._elide_on:
-                sig = self._spin_sig()
-                sp = _SpinTracker(cand, sig)
-                self._spin = sp
-                if cand.cert_steps is not None and sig == cand.cert_snap:
-                    sp.steps = cand.cert_steps
-                    sp.park_ia = cand.cert_steps[0][0]
-                    sp.park_states = cand.cert_states
-            else:
-                self._spin = None
-            return
         sig = self._spin_sig()
         sp.cur.append((ia, ret))
         sp.sigs.append(sig)
@@ -709,22 +679,10 @@ class IsaCpu:
             return
         # A rotated iteration (head completion to head completion) just
         # finished.
+        if self._spin_rearm(sp, sig):
+            return
         cur = sp.cur
         n = len(cur)
-        if cand.cert_steps is not None and sig == cand.cert_snap:
-            # The live state equals the certificate's head-completion
-            # state, so the proven register fixed point is
-            # re-established: every future boundary state is the
-            # certified one, and the member latencies are deterministic
-            # functions of that state (register-only handlers, no
-            # hooks). The head's own latency need not match — it has
-            # already executed and been accounted for real; ``_try_park``
-            # verifies the line is L1-resident so the *next* head load
-            # is the certified hit.
-            sp.steps = cand.cert_steps
-            sp.park_ia = cand.cert_steps[0][0]
-            sp.park_states = cand.cert_states
-            return
         if n >= 2:
             if cur == sp.steps and sig == sp.snap:
                 # Two identical consecutive iterations: the iteration is
@@ -746,6 +704,26 @@ class IsaCpu:
         sp.snap = sig
         sp.cur = []
         sp.sigs = []
+
+    def _spin_rearm(self, sp: _SpinTracker, sig: tuple) -> bool:
+        """Arm ``sp`` from its loop's cached certificate if the head
+        just completed in the certificate's head-completion state.
+
+        That state re-establishes the proven register fixed point: every
+        future boundary state is the certified one, and the member
+        latencies are deterministic functions of that state
+        (register-only handlers, no hooks). The head's own latency need
+        not match — it has already executed and been accounted for real;
+        ``_try_park`` verifies the line is L1-resident so the *next* head
+        load is the certified hit.
+        """
+        cand = sp.cand
+        if cand.cert_steps is None or sig != cand.cert_snap:
+            return False
+        sp.steps = cand.cert_steps
+        sp.park_ia = cand.cert_steps[0][0]
+        sp.park_states = cand.cert_states
+        return True
 
     def _try_park(self, sp: _SpinTracker) -> bool:
         """Validate park-time conditions and build the parked record.
@@ -960,12 +938,6 @@ class IsaCpu:
         if insn.modifies_fpr and not engine.tx.effective_fpr_allowed:
             engine.restricted_instruction(ia)
 
-    def _deliver_per_event(self) -> None:
-        event = self.engine.pending_per_event
-        if event is not None:
-            self.engine.pending_per_event = None
-            self.os.note_per_event(event)
-
     # ------------------------------------------------------------------
     # abort / interruption paths
     # ------------------------------------------------------------------
@@ -1068,20 +1040,6 @@ class IsaCpu:
     # address arithmetic: at half a million executions per sweep point
     # the ``get_gr``/``_ea`` call overhead dominates their own work.
 
-    def _op_lhi(self, ia, insn):
-        r, imm = insn.operands
-        self.regs.gr[r] = imm & MASK64
-        return 0
-
-    def _op_ahi(self, ia, insn):
-        r, imm = insn.operands
-        gr = self.regs.gr
-        value = gr[r]
-        result = (value - (1 << 64) if value >> 63 else value) + imm
-        gr[r] = result & MASK64
-        self._set_cc_signed(result)
-        return 0
-
     def _op_lr(self, ia, insn):
         r1, r2 = insn.operands
         self.regs.set_gr(r1, self.regs.get_gr(r2))
@@ -1150,99 +1108,10 @@ class IsaCpu:
         self.regs.set_gr(r1, self.regs.get_gr(r1) * self.regs.get_gr(r2))
         return 0
 
-    def _op_brct(self, ia, insn):
-        (r,) = insn.operands
-        gr = self.regs.gr
-        value = (gr[r] - 1) & MASK64
-        gr[r] = value
-        if value != 0:
-            tup = self._branch_tuple.get(ia)
-            return tup if tup is not None else (
-                0, self.program.target_address(insn)
-            )
-        return 0
-
     def _op_stck(self, ia, insn):
         (mem,) = insn.operands
         now = self.engine.fabric.clock()
         return self.engine.store(self._ea(mem), now, 8)
-
-    def _op_lg(self, ia, insn):
-        r, mem = insn.operands
-        gr = self.regs.gr
-        addr = mem.disp
-        if mem.base is not None:
-            addr += gr[mem.base]
-        if mem.index is not None:
-            addr += gr[mem.index]
-        value, latency = self.engine.load(addr, 8)
-        gr[r] = value
-        return latency
-
-    def _op_ltg(self, ia, insn):
-        r, mem = insn.operands
-        gr = self.regs.gr
-        addr = mem.disp
-        if mem.base is not None:
-            addr += gr[mem.base]
-        if mem.index is not None:
-            addr += gr[mem.index]
-        value, latency = self.engine.load(addr, 8)
-        gr[r] = value
-        psw = self.regs.psw
-        if value == 0:
-            psw.condition_code = 0
-        elif value >> 63:
-            psw.condition_code = 1
-        else:
-            psw.condition_code = 2
-        return latency
-
-    def _op_stg(self, ia, insn):
-        r, mem = insn.operands
-        gr = self.regs.gr
-        addr = mem.disp
-        if mem.base is not None:
-            addr += gr[mem.base]
-        if mem.index is not None:
-            addr += gr[mem.index]
-        return self.engine.store(addr, gr[r], 8)
-
-    def _op_csg(self, ia, insn):
-        r1, r3, mem = insn.operands
-        gr = self.regs.gr
-        addr = mem.disp
-        if mem.base is not None:
-            addr += gr[mem.base]
-        if mem.index is not None:
-            addr += gr[mem.index]
-        swapped, observed, latency = self.engine.compare_and_swap(
-            addr, gr[r1], gr[r3], 8
-        )
-        if swapped:
-            self.regs.psw.condition_code = 0
-        else:
-            gr[r1] = observed
-            self.regs.psw.condition_code = 1
-        return latency
-
-    def _op_agsi(self, ia, insn):
-        mem, imm = insn.operands
-        gr = self.regs.gr
-        addr = mem.disp
-        if mem.base is not None:
-            addr += gr[mem.base]
-        if mem.index is not None:
-            addr += gr[mem.index]
-        new_value, latency = self.engine.add_to_storage(addr, imm, 8)
-        psw = self.regs.psw
-        if new_value == 0:
-            psw.condition_code = 0
-        elif new_value >> 63:
-            psw.condition_code = 1
-        else:
-            psw.condition_code = 2
-        return latency
 
     def _op_ntstg(self, ia, insn):
         r, mem = insn.operands
@@ -1257,21 +1126,6 @@ class IsaCpu:
             )
             return 0  # non-tx path: OS resumed us; treat as no-op
         self.regs.set_gr(r1, self.regs.get_gr_signed(r1) // divisor)
-        return 0
-
-    def _op_j(self, ia, insn):
-        tup = self._branch_tuple.get(ia)
-        return tup if tup is not None else (
-            0, self.program.target_address(insn)
-        )
-
-    def _op_brc(self, ia, insn):
-        (mask,) = insn.operands
-        if mask & (8 >> self.regs.psw.condition_code):
-            tup = self._branch_tuple.get(ia)
-            return tup if tup is not None else (
-                0, self.program.target_address(insn)
-            )
         return 0
 
     def _op_cij(self, ia, insn):
@@ -1426,15 +1280,14 @@ class IsaCpu:
     # Factories building per-instruction closures for the sweep-dominating
     # mnemonics: operand tuples are unpacked, effective-address terms and
     # branch targets resolved, and the register file / engine entry points
-    # captured once at program-load time. Each closure is semantically
-    # identical to the generic handler of the same mnemonic. A factory may
-    # return None to fall back to the generic handler.
+    # captured once at program-load time. These mnemonics have no generic
+    # ``_op_*`` handler: the closure is their only implementation.
 
     def _capture_ea(self, mem):
         """(gr, disp, base, index) for closure-side address arithmetic."""
         return self.regs.gr, mem.disp, mem.base, mem.index
 
-    def _spec_lg(self, insn, address):
+    def _spec_lg(self, insn, taken):
         r, mem = insn.operands
         gr, disp, base, index = self._capture_ea(mem)
         load = self.engine.load
@@ -1451,7 +1304,7 @@ class IsaCpu:
 
         return run
 
-    def _spec_ltg(self, insn, address):
+    def _spec_ltg(self, insn, taken):
         r, mem = insn.operands
         gr, disp, base, index = self._capture_ea(mem)
         load = self.engine.load
@@ -1475,7 +1328,7 @@ class IsaCpu:
 
         return run
 
-    def _spec_stg(self, insn, address):
+    def _spec_stg(self, insn, taken):
         r, mem = insn.operands
         gr, disp, base, index = self._capture_ea(mem)
         store = self.engine.store
@@ -1490,7 +1343,7 @@ class IsaCpu:
 
         return run
 
-    def _spec_agsi(self, insn, address):
+    def _spec_agsi(self, insn, taken):
         mem, imm = insn.operands
         gr, disp, base, index = self._capture_ea(mem)
         add_to_storage = self.engine.add_to_storage
@@ -1513,7 +1366,7 @@ class IsaCpu:
 
         return run
 
-    def _spec_csg(self, insn, address):
+    def _spec_csg(self, insn, taken):
         r1, r3, mem = insn.operands
         gr, disp, base, index = self._capture_ea(mem)
         compare_and_swap = self.engine.compare_and_swap
@@ -1537,7 +1390,7 @@ class IsaCpu:
 
         return run
 
-    def _spec_lhi(self, insn, address):
+    def _spec_lhi(self, insn, taken):
         r, imm = insn.operands
         gr = self.regs.gr
         masked = imm & MASK64
@@ -1548,7 +1401,7 @@ class IsaCpu:
 
         return run
 
-    def _spec_ahi(self, insn, address):
+    def _spec_ahi(self, insn, taken):
         r, imm = insn.operands
         gr = self.regs.gr
         psw = self.regs.psw
@@ -1567,10 +1420,7 @@ class IsaCpu:
 
         return run
 
-    def _spec_brct(self, insn, address):
-        tup = self._branch_tuple.get(address)
-        if tup is None:
-            return None
+    def _spec_brct(self, insn, taken):
         (r,) = insn.operands
         gr = self.regs.gr
 
@@ -1578,34 +1428,43 @@ class IsaCpu:
             value = (gr[r] - 1) & MASK64
             gr[r] = value
             if value != 0:
-                return tup
+                return taken
             return 0
 
-        return run
+        return self._check_target(insn, taken, run)
 
-    def _spec_brc(self, insn, address):
-        tup = self._branch_tuple.get(address)
-        if tup is None:
-            return None
+    def _spec_brc(self, insn, taken):
         (mask,) = insn.operands
         psw = self.regs.psw
 
         def run(ia, _insn):
             if mask & (8 >> psw.condition_code):
-                return tup
+                return taken
             return 0
 
-        return run
+        return self._check_target(insn, taken, run)
 
-    def _spec_j(self, insn, address):
-        tup = self._branch_tuple.get(address)
-        if tup is None:
-            return None
-
+    def _spec_j(self, insn, taken):
         def run(ia, _insn):
-            return tup
+            return taken
 
-        return run
+        return self._check_target(insn, taken, run)
+
+    def _check_target(self, insn, taken, run):
+        """``run`` for a branch whose target resolved; otherwise a
+        wrapper that fails when the branch is taken (``run`` returned
+        the None ``taken``): :meth:`Program.target_address` raises
+        :class:`~repro.errors.AssemblyError` for a missing target."""
+        if taken is not None:
+            return run
+        target_address = self.program.target_address
+
+        def unresolved(ia, _insn):
+            if run(ia, _insn) is None:
+                return (0, target_address(insn))
+            return 0
+
+        return unresolved
 
     _SPECIALIZE: Dict[str, Callable] = {
         "LG": _spec_lg,
@@ -1621,8 +1480,6 @@ class IsaCpu:
     }
 
     _DISPATCH: Dict[str, Callable] = {
-        "LHI": _op_lhi,
-        "AHI": _op_ahi,
         "LR": _op_lr,
         "LA": _op_la,
         "AGR": _op_agr,
@@ -1634,17 +1491,9 @@ class IsaCpu:
         "OGR": _op_ogr,
         "XGR": _op_xgr,
         "MSGR": _op_msgr,
-        "BRCT": _op_brct,
         "STCK": _op_stck,
-        "LG": _op_lg,
-        "LTG": _op_ltg,
-        "STG": _op_stg,
-        "CSG": _op_csg,
-        "AGSI": _op_agsi,
         "NTSTG": _op_ntstg,
         "DSG": _op_dsg,
-        "J": _op_j,
-        "BRC": _op_brc,
         "CIJ": _op_cij,
         "TBEGIN": _op_tbegin,
         "TBEGINC": _op_tbeginc,

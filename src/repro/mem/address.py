@@ -8,7 +8,7 @@ limit, section II.D of the paper).
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Tuple
 
 from ..errors import ConfigurationError
 
@@ -68,8 +68,3 @@ def octowords_touched(addr: int, length: int) -> Tuple[int, ...]:
     first = octoword_address(addr)
     last = octoword_address(addr + length - 1)
     return tuple(range(first, last + OCTOWORD, OCTOWORD))
-
-
-def byte_range(addr: int, length: int) -> Iterator[int]:
-    """Iterate the byte addresses of an access."""
-    return iter(range(addr, addr + length))

@@ -43,13 +43,6 @@ class SetAssociativeDirectory:
         self._row_shift = geometry.line_size.bit_length() - 1
         self._row_mask = geometry.rows - 1
 
-    def _row(self, index: int) -> Dict[int, DirectoryEntry]:
-        row = self._rows.get(index)
-        if row is None:
-            row = {}
-            self._rows[index] = row
-        return row
-
     # -- basic queries ----------------------------------------------------
 
     def row_of(self, line: int) -> int:

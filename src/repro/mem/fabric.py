@@ -546,12 +546,6 @@ class CoherenceFabric:
 
     # -- shared caches ------------------------------------------------------------
 
-    def _l3_of(self, cpu: int) -> L3Cache:
-        return self._l3_by_cpu[cpu]
-
-    def _l4_of(self, cpu: int) -> L4Cache:
-        return self._l4_by_cpu[cpu]
-
     def _install_shared(self, cpu: int, line: int) -> None:
         self._l3_by_cpu[cpu].install(line, self._l3_install_cbs[cpu])
         self._l4_by_cpu[cpu].install(line, self._l4_install_cbs[cpu])
@@ -599,10 +593,6 @@ class CoherenceFabric:
                 info.ex_owner = -1
 
     # -- latency classification -------------------------------------------------
-
-    def _distance_rank(self, cpu: int, other: int) -> int:
-        """0 = same chip, 1 = same MCM, 2 = remote MCM."""
-        return self._rank_rows[cpu][other]
 
     def _distance_latency(self, cpu: int, other: int) -> int:
         return self._dist_lat_rows[cpu][other]
@@ -655,11 +645,6 @@ class CoherenceFabric:
         return "memory"
 
     # -- ownership fix-ups used by the engines ------------------------------------
-
-    def drop_l1_copy(self, cpu: int, line: int) -> None:
-        """Abort path: a tx-dirty line leaves the L1 (it stays in the L2)."""
-        self._probe_cache.pop(line, None)
-        self._ports[cpu].l1.directory.remove(line)
 
     def release_line(self, cpu: int, line: int) -> None:
         """Remove ``line`` from a CPU's private caches and the ownership map."""

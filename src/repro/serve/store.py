@@ -19,6 +19,10 @@ Three tiers, fastest first:
     ``$REPRO_BENCH_CACHE_REMOTE``) with the same layout, letting many
     machines share one result population.
 
+It is the one result cache: :func:`repro.bench.parallel.run_tasks`
+takes a store too, and ``benchmarks/run_figures.py`` caches through a
+memory + disk store.
+
 ``get`` reads through the tiers in order and promotes hits into every
 faster tier; ``put`` writes back to every configured tier. All
 operations keep per-tier hit/miss counters plus write/corruption

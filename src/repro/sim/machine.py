@@ -12,6 +12,11 @@ Typical use::
     machine.add_program(program)
     result = machine.run()
     print(result.throughput)
+
+Spin-wait and retry-storm elision is always on (see
+:mod:`repro.sim.scheduler`). ``REPRO_CHECK=1`` replays every run of
+assembled programs on an unelided reference machine, built from the same
+pre-run configuration, and raises on any difference.
 """
 
 from __future__ import annotations
@@ -59,11 +64,13 @@ class Machine:
         self,
         params: MachineParams = ZEC12,
         external_interrupt_interval: Optional[int] = None,
-        spin_elide: Optional[bool] = None,
+        spin_elide: bool = True,
     ) -> None:
         self.params = params
-        #: Per-machine override for spin-wait elision (None = honour the
-        #: ``REPRO_SPIN_ELIDE`` environment variable, the default).
+        #: Spin/retry elision and straight-line batching for every CPU
+        #: added by :meth:`add_program`. Results are bit-identical either
+        #: way; ``False`` is the reference path that ``REPRO_CHECK=1``
+        #: replays against.
         self.spin_elide = spin_elide
         self.memory = MainMemory()
         self.page_table = PageTable()
@@ -168,19 +175,12 @@ class Machine:
             raise ConfigurationError("no CPUs attached to the machine")
         check = (
             os.environ.get("REPRO_CHECK") == "1"
-            and self.spin_elide is not False
+            and self.spin_elide
             and all(p is not None for p in self._programs)
         )
-        if check:
-            import copy
-
-            ref_perturb = copy.deepcopy(self.schedule_perturb)
-            # The reference run must start from the same memory image —
-            # callers may preload initial values before run().
-            ref_pages = {
-                page: bytearray(data)
-                for page, data in self.memory._pages.items()
-            }
+        # The reference starts from this machine's pre-run state, so it
+        # is built before the run mutates it.
+        ref = self._reference_machine() if check else None
         self.scheduler = Scheduler(self.drivers)
         # The hook is a per-step no-op without interrupt pressure — leave
         # it unset so the scheduler's inner loop skips it entirely.
@@ -214,26 +214,24 @@ class Machine:
                 "broadcast_stops": sched.stats_broadcast_stops,
             },
         )
-        if check:
-            self._reference_check(result, ref_perturb, ref_pages, max_cycles)
+        if ref is not None:
+            self._reference_check(result, ref, max_cycles)
         return result
 
-    def _reference_check(
-        self,
-        result: SimResult,
-        ref_perturb: Optional[Callable[[int, int], int]],
-        ref_pages,
-        max_cycles: Optional[int],
-    ) -> None:
-        """``REPRO_CHECK=1``: replay the run with spin-wait and
-        retry-storm elision forced off and assert the architected
-        outcome is bit-identical — cycles, per-CPU statistics, intervals
-        and final memory contents.
+    def _reference_machine(self) -> "Machine":
+        """A copy of this machine's pre-run configuration with elision
+        off: the same params, programs and interrupt interval, the
+        memory image, unmapped pages, each engine's PER controls and TDC
+        mode, and the perturb hook.
 
-        The reference machine is built with ``spin_elide=False`` (the
-        master switch for both parking mechanisms), which also keeps it
-        from recursing into another check.
+        Built with ``spin_elide=False`` (the master switch for both
+        parking mechanisms), which also keeps it from recursing into
+        another check. An installed ``os.on_fatal`` hook is mirrored by a
+        no-op, so the reference takes the same path without calling the
+        hook a second time.
         """
+        import copy
+
         ref = Machine(
             self.params,
             external_interrupt_interval=self.external_interrupt_interval,
@@ -241,8 +239,31 @@ class Machine:
         )
         for program in self._programs:
             ref.add_program(program)
-        ref.memory._pages.update(ref_pages)
-        ref.schedule_perturb = ref_perturb
+        ref.memory._pages.update(
+            (page, bytearray(data))
+            for page, data in self.memory._pages.items()
+        )
+        ref.page_table._missing.update(self.page_table._missing)
+        ref.page_table.paged_in.update(self.page_table.paged_in)
+        for mine, theirs in zip(self.engines, ref.engines):
+            vars(theirs.per).update(vars(mine.per))
+            theirs.tdc.set_mode(mine.tdc.mode)
+        if self.os.on_fatal is not None:
+            ref.os.on_fatal = lambda record: None
+        ref.schedule_perturb = copy.deepcopy(self.schedule_perturb)
+        return ref
+
+    def _reference_check(
+        self,
+        result: SimResult,
+        ref: "Machine",
+        max_cycles: Optional[int],
+    ) -> None:
+        """``REPRO_CHECK=1``: run the reference machine (see
+        :meth:`_reference_machine`) and assert the architected outcome
+        is bit-identical — cycles, per-CPU statistics, intervals and
+        final memory contents.
+        """
         ref_result = ref.run(max_cycles=max_cycles)
         if ref_result != result:
             raise ProtocolError(

@@ -27,8 +27,9 @@ Three special behaviours:
 
 A parked CPU's event chain stays in the heap: every placeholder event is
 pushed and popped like a real one, so event times, sequence numbers and
-``stats_events`` are exactly those of the non-elided run
-(``REPRO_SPIN_ELIDE=0``; ``REPRO_CHECK=1`` replays every run that way,
+``stats_events`` are exactly those of the non-elided run. Elision is
+always on; the non-elided path survives only as the reference that
+``REPRO_CHECK=1`` replays every run against (``Machine(spin_elide=False)``,
 see :meth:`repro.sim.machine.Machine.run`).
 """
 
@@ -317,9 +318,9 @@ class Scheduler:
         every instruction individually, so either one disables parking
         and batching; retry parking survives jitter alone, because each
         tick draws the perturbation for the step it elides in exact pop
-        order. The drivers also honour ``REPRO_SPIN_ELIDE=0``
-        themselves. The shared fabric's wake sink is pointed at this
-        scheduler.
+        order. A driver built with ``spin_elide=False`` (the
+        ``REPRO_CHECK`` reference) stays unelided regardless. The shared
+        fabric's wake sink is pointed at this scheduler.
         """
         hooks_ok = self.pre_step is None and self.perturb is None
         retry_ok = self.pre_step is None

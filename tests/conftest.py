@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import List, Optional, Tuple
 
 import pytest
 
+from repro.bench.figures import UpdateExperiment, run_update_experiment
+from repro.bench.parallel import run_tasks
 from repro.core.abort import TransactionAbort
 from repro.core.engine import FetchRetry, TxEngine
 from repro.errors import TransactionAbortSignal
@@ -14,6 +17,8 @@ from repro.mem.fabric import CoherenceFabric
 from repro.mem.memory import MainMemory
 from repro.mem.paging import PageTable
 from repro.params import MachineParams, Topology, ZEC12
+from repro.sim.machine import Machine
+from repro.workloads.pool import PoolLayout, build_update_program
 
 
 def small_params(
@@ -36,6 +41,92 @@ def small_params(
         lru_extension=lru_extension,
         speculation=speculation,
         **overrides,
+    )
+
+
+def update_machine(experiment: UpdateExperiment,
+                   spin_elide: bool = True) -> Machine:
+    """The machine :func:`repro.bench.figures.run_update_experiment`
+    builds for ``experiment``, with spin/retry elision on or off."""
+    machine = Machine(ZEC12.with_cpus(experiment.n_cpus),
+                      spin_elide=spin_elide)
+    program = build_update_program(
+        experiment.scheme,
+        PoolLayout(experiment.pool_size),
+        n_vars=experiment.n_vars,
+        iterations=experiment.iterations,
+        fallback_mode=machine.fallback_mode,
+    )
+    for _ in range(experiment.n_cpus):
+        machine.add_program(program)
+    return machine
+
+
+#: (cycles, instructions, tx_aborted, xi_rejects) pinned from the
+#: reference implementation — 48-CPU points over all three lock schemes
+#: (fine-grained locking is single-variable by design).
+PINNED_48CPU = [
+    (UpdateExperiment("coarse", 48, 1000, 4, iterations=3),
+     (280111, 186668, 0, 0)),
+    (UpdateExperiment("fine", 48, 1000, 1, iterations=3),
+     (3412, 2256, 0, 0)),
+    (UpdateExperiment("rwlock", 48, 1000, 4, iterations=3),
+     (51045, 3984, 0, 0)),
+]
+
+PINNED_IDS = [f"{e.scheme}-{e.n_cpus}" for e, _ in PINNED_48CPU]
+
+SCHED_KEYS = ("events", "parks", "retry_parks", "spin_steps",
+              "heap_elided_steps")
+
+#: ``SimResult.sched`` counters (in ``SCHED_KEYS`` order) per scheme,
+#: elided and on the unelided reference machine.
+PINNED_SCHED = {
+    ("coarse", True): (236422, 1537, 1452, 178962, 1558),
+    ("coarse", False): (217624, 0, 0, 0, 20654),
+    ("fine", True): (2632, 0, 7, 0, 64),
+    ("fine", False): (2632, 0, 0, 0, 72),
+    ("rwlock", True): (8842, 0, 41, 0, 2121),
+    ("rwlock", False): (8842, 0, 0, 0, 3039),
+}
+
+
+def pinned_summary(result) -> Tuple[int, int, int, int]:
+    """The ``PINNED_48CPU`` tuple of a result."""
+    return (
+        result.cycles,
+        sum(c.instructions for c in result.cpus),
+        sum(c.tx_aborted for c in result.cpus),
+        sum(c.xi_rejects for c in result.cpus),
+    )
+
+
+def pinned_sched(result) -> Tuple[int, ...]:
+    """The ``PINNED_SCHED`` tuple of a result."""
+    return tuple(result.sched[key] for key in SCHED_KEYS)
+
+
+@functools.lru_cache(maxsize=None)
+def pinned_run(experiment: UpdateExperiment, spin_elide: bool = True):
+    """One serial run of a pinned point per elision mode.
+
+    Several test ids pin the same point (their labels name scheduler
+    modes that no longer exist), so the run is made once per session
+    and shared: the suite simulates each point once elided, through
+    :func:`run_update_experiment`, and once on the unelided reference
+    machine.
+    """
+    if spin_elide:
+        return run_update_experiment(experiment)
+    return update_machine(experiment, spin_elide=False).run()
+
+
+@functools.lru_cache(maxsize=None)
+def pinned_parallel_run():
+    """The three pinned points, run once through two worker processes."""
+    return run_tasks(
+        [("update", experiment) for experiment, _ in PINNED_48CPU],
+        workers=2,
     )
 
 

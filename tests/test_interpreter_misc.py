@@ -1,8 +1,13 @@
 """Interpreter coverage for the remaining instructions and edge cases."""
 
+import inspect
+import re
+
 import pytest
 
+from repro.cpu import isa
 from repro.cpu.assembler import assemble
+from repro.cpu.interpreter import IsaCpu
 from repro.cpu.isa import (
     AGR,
     AGSI,
@@ -24,6 +29,7 @@ from repro.cpu.isa import (
     TBEGIN,
     TBEGINC,
     TEND,
+    Instruction,
 )
 from repro.errors import AssemblyError, MachineStateError
 from repro.params import ZEC12
@@ -150,3 +156,32 @@ def test_instruction_str_rendering():
     assert "LG" in str(insn)
     branch = JNZ("loop")
     assert "loop" in str(branch)
+
+
+@pytest.mark.parametrize("branch", [
+    Instruction("J", (), length=4),
+    Instruction("BRC", (15,), length=4),
+    Instruction("BRCT", (1,), length=4),
+], ids=["J", "BRC", "BRCT"])
+def test_taken_branch_without_target_raises(branch):
+    # The specialised branch closures are the only implementation of
+    # J/BRC/BRCT; one built without a target must still fail when taken.
+    with pytest.raises(AssemblyError):
+        run([LHI(1, 2), branch])
+
+
+def test_untaken_branch_without_target_falls_through():
+    _, cpu, _ = run([Instruction("BRC", (0,), length=4), LHI(2, 7)])
+    assert cpu.regs.get_gr(2) == 7
+
+
+def test_every_mnemonic_has_exactly_one_implementation():
+    # Each mnemonic cpu/isa.py can construct is either specialised at
+    # predecode or dispatched to a generic handler, never both.
+    constructed = set(
+        re.findall(r'Instruction\(\s*"([A-Z_]+)"', inspect.getsource(isa))
+    )
+    specialized = set(IsaCpu._SPECIALIZE)
+    generic = set(IsaCpu._DISPATCH)
+    assert not specialized & generic
+    assert constructed == specialized | generic

@@ -6,13 +6,10 @@ import sys
 import pytest
 
 from repro.bench.figures import QUICK_CPU_GRID, UpdateExperiment, run_update_experiment
-from repro.bench.parallel import (
-    ResultCache,
-    run_tasks,
-    task_key,
-)
+from repro.bench.parallel import run_tasks, task_key
 from repro.bench.report import render_abort_attribution
 from repro.params import ZEC12
+from repro.serve.store import ResultStore
 from repro.sim.machine import Machine
 from repro.sim.metrics import (
     SCHEMA,
@@ -227,7 +224,8 @@ class TestCacheKey:
         assert task_key("update", self.EXPERIMENT, ZEC12) != before
 
     def test_flipping_metrics_misses_cache(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = ResultStore(str(tmp_path), memory_entries=0,
+                            remote_root="")
         tasks = [("update", self.EXPERIMENT)]
         run_tasks(tasks, cache=cache, metrics=False)
         files_off = set(tmp_path.glob("*.json"))

@@ -14,7 +14,6 @@ import pytest
 from repro.bench.figures import UpdateExperiment, run_update_experiment, sweep
 from repro.bench.parallel import (
     FootprintTask,
-    ResultCache,
     code_version,
     parallel_sweep,
     result_from_payload,
@@ -23,6 +22,7 @@ from repro.bench.parallel import (
     task_key,
 )
 from repro.params import ZEC12
+from repro.serve.store import ResultStore
 from repro.workloads.hashtable import HashtableExperiment
 from repro.workloads.queue import QueueExperiment
 
@@ -76,9 +76,14 @@ class TestSerialVsParallel:
                                   workers=workers) == reference
 
 
+def _disk_store(path):
+    """A disk-only store: every ``get`` reads the entry's JSON file."""
+    return ResultStore(str(path), memory_entries=0, remote_root="")
+
+
 class TestCache:
     def test_cache_round_trip_is_identical(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = _disk_store(tmp_path)
         tasks = [("update", UpdateExperiment("tbegin", 2, 10, 1,
                                              iterations=6))]
         computed = run_tasks(tasks, cache=cache)
@@ -86,7 +91,7 @@ class TestCache:
         assert_identical(computed[0], cached[0])
 
     def test_cache_file_written_and_keyed_by_code_version(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = _disk_store(tmp_path)
         experiment = UpdateExperiment("tbegin", 2, 10, 1, iterations=6)
         run_tasks([("update", experiment)], cache=cache)
         key = task_key("update", experiment, ZEC12)
@@ -97,29 +102,13 @@ class TestCache:
         assert task_key("update", other, ZEC12) != key
 
     def test_corrupt_cache_entry_recomputed(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = _disk_store(tmp_path)
         experiment = UpdateExperiment("tbegin", 2, 10, 1, iterations=6)
         key = task_key("update", experiment, ZEC12)
         cache.put(key, {"type": "scalar", "value": 0})
         (tmp_path / (key + ".json")).write_text("{ not json")
         [result] = run_tasks([("update", experiment)], cache=cache)
         assert_identical(result, run_update_experiment(experiment))
-
-    def test_spin_elide_mode_is_keyed(self, tmp_path, monkeypatch):
-        # Elision leaves the architected result alone but changes the
-        # scheduler counters, so one shared cache must not serve an
-        # elided run's counters to a REPRO_SPIN_ELIDE=0 run.
-        cache = ResultCache(str(tmp_path))
-        tasks = [("update", UpdateExperiment("coarse", 8, 1000, 4,
-                                             iterations=3))]
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
-        [elided] = run_tasks(tasks, cache=cache)
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "0")
-        [plain] = run_tasks(tasks, cache=cache)
-        assert_identical(elided, plain)
-        assert elided.sched["parks"] > 0
-        assert plain.sched["parks"] == 0
-        assert elided.sched != plain.sched
 
 
 class TestPayloadRoundTrip:

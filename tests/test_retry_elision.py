@@ -12,14 +12,17 @@ contract. The tests pin that contract from several angles:
   watched line's exclusive owner changes mid-backoff;
 * the parked-deadlock diagnostic names a spin or retry waiter's
   watched block;
-* pinned bit-identity on coarse/fine/rwlock 48-CPU points, serial and
-  through the parallel runner, with elision on and off
-  (``REPRO_SPIN_ELIDE``), each twice under the labels of the retired
-  calendar/heap queue switch;
+* pinned bit-identity on coarse/fine/rwlock 48-CPU points: each runs
+  once elided, once on the unelided reference machine
+  (``Machine(spin_elide=False)``) and once through the parallel runner,
+  pinning the results and each mode's ``SimResult.sched`` counters
+  (the test ids keep the ``cal``/``heap`` labels of the retired event
+  queues; every id of one elision mode checks the same shared run);
 * cycle budgets that stop the coarse point mid-chain, against the
   non-elided reference;
-* ``REPRO_CHECK=1`` differential replay, with and without schedule
-  jitter (retry parking stays armed under jitter) and under a budget.
+* ``REPRO_CHECK=1`` differential replay on the coarse and rwlock points,
+  with and without schedule jitter (retry parking stays armed under
+  jitter) and under a budget.
 """
 
 from __future__ import annotations
@@ -29,8 +32,17 @@ from types import SimpleNamespace
 
 import pytest
 
+from conftest import (
+    PINNED_48CPU,
+    PINNED_IDS,
+    PINNED_SCHED,
+    pinned_parallel_run,
+    pinned_run,
+    pinned_sched,
+    pinned_summary,
+    update_machine,
+)
 from repro.bench.figures import UpdateExperiment, run_update_experiment
-from repro.bench.parallel import run_tasks
 from repro.core.ppa import PpaAssist
 from repro.cpu.assembler import assemble
 from repro.cpu.isa import HALT
@@ -40,37 +52,12 @@ from repro.params import ZEC12
 from repro.sim.machine import Machine
 from repro.sim.scheduler import Scheduler
 from repro.verify.jitter import ScheduleJitter
-from repro.workloads.pool import PoolLayout, build_update_program
 
-#: (cycles, instructions, tx_aborted, xi_rejects) pinned from the
-#: reference implementation — 48-CPU points over all three lock schemes
-#: (fine-grained locking is single-variable by design).
-PINNED_48CPU = [
-    (UpdateExperiment("coarse", 48, 1000, 4, iterations=3),
-     (280111, 186668, 0, 0)),
-    (UpdateExperiment("fine", 48, 1000, 1, iterations=3),
-     (3412, 2256, 0, 0)),
-    (UpdateExperiment("rwlock", 48, 1000, 4, iterations=3),
-     (51045, 3984, 0, 0)),
-]
-
-IDS = [f"{e.scheme}-{e.n_cpus}" for e, _ in PINNED_48CPU]
-
-#: Spin/retry elision on/off, crossed with the event-queue label of the
-#: retired calendar/heap queue switch. Both queue labels now run the
-#: one ``heapq`` drain, so each point runs twice per mode in one
-#: process and must land on the same pin both times.
-MODES = [("1", "cal"), ("1", "heap"), ("0", "cal"), ("0", "heap")]
-MODE_IDS = ["elide-cal", "elide-heap", "plain-cal", "plain-heap"]
-
-
-def _summary(result):
-    return (
-        result.cycles,
-        sum(c.instructions for c in result.cpus),
-        sum(c.tx_aborted for c in result.cpus),
-        sum(c.xi_rejects for c in result.cpus),
-    )
+#: The labels of the retired scheduler matrix: spin/retry elision on or
+#: off x calendar or bare-heap event queue. Only the elision label still
+#: selects a mode; both queue labels name the one heap drain.
+MODES = [(elide, queue) for elide in (True, False) for queue in ("cal", "heap")]
+MODE_IDS = [f"{'elide' if e else 'plain'}-{q}" for e, q in MODES]
 
 
 class TestPpaBackoffIdentity:
@@ -105,15 +92,13 @@ class TestPpaBackoffIdentity:
             b.delay_cycles(100) for _ in range(10)
         ]
 
-    def test_constrained_point_reject_identity(self, monkeypatch):
+    def test_constrained_point_reject_identity(self):
         # End to end: a contended constrained-TX point's per-CPU reject
         # and abort counters (fed by the PPA back-off chains) must be
         # identical with retry parking on and off.
         experiment = UpdateExperiment("tbeginc", 24, 10, 4, iterations=15)
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
         elided = run_update_experiment(experiment)
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "0")
-        plain = run_update_experiment(experiment)
+        plain = update_machine(experiment, spin_elide=False).run()
         assert [
             (c.xi_rejects, c.tx_aborted, c.instructions)
             for c in elided.cpus
@@ -126,9 +111,7 @@ class TestPpaBackoffIdentity:
 
 class TestRetryCertification:
     def _cpu_with_owned_line(self, owner):
-        # spin_elide=True (not the env default) so the white-box checks
-        # below behave the same under a REPRO_SPIN_ELIDE=0 CI leg.
-        machine = Machine(ZEC12.with_cpus(4), spin_elide=True)
+        machine = Machine(ZEC12.with_cpus(4))
         cpu = machine.add_program(assemble([HALT()]))
         cpu.configure_spin_elide(True)
         line = 0x8000
@@ -195,21 +178,6 @@ class TestRetryCertification:
         assert not cpu._retry_armed
 
 
-def _machine(experiment, spin_elide=None):
-    machine = Machine(ZEC12.with_cpus(experiment.n_cpus),
-                      spin_elide=spin_elide)
-    program = build_update_program(
-        experiment.scheme,
-        PoolLayout(experiment.pool_size),
-        n_vars=experiment.n_vars,
-        iterations=experiment.iterations,
-        fallback_mode=machine.fallback_mode,
-    )
-    for _ in range(experiment.n_cpus):
-        machine.add_program(program)
-    return machine
-
-
 class TestDeadlockDiagnostic:
     def test_diagnostic_names_spin_watched_block(self):
         # The LineWatchTable, not the event queue, is the ground truth
@@ -239,35 +207,54 @@ class TestDeadlockDiagnostic:
         assert "cpu 0 retry-parked on block 0x8000" in message
         assert "line 0x8000" in message
 
+    def test_diagnostic_names_spin_and_retry_blocks(self):
+        # A spin waiter and a retry waiter left parked together: the
+        # diagnostic names both watched blocks.
+        machine = Machine(ZEC12.with_cpus(4))
+        spinner = machine.add_program(assemble([HALT()]))
+        retrier = machine.add_program(assemble([HALT()]))
+        spinner.engine.fabric.watches.add(0, 0x8000, 0x8000 & WATCH_BLOCK_MASK)
+        retrier.engine.add_retry_watch(0x9000, 0x9000 & WATCH_BLOCK_MASK)
+        scheduler = Scheduler(machine.drivers)
+        scheduler._parked[0] = None  # the guard only reads the indices
+        scheduler._parked[1] = None
+        with pytest.raises(MachineStateError) as exc:
+            scheduler._raise_parked_deadlock()
+        message = str(exc.value)
+        assert "cpu 0 parked on block 0x8000" in message
+        assert "cpu 1 retry-parked on block 0x9000" in message
+
 
 class TestPinnedBitIdentity:
-    @pytest.mark.parametrize("experiment,pinned", PINNED_48CPU, ids=IDS)
+    @pytest.mark.parametrize("experiment,pinned", PINNED_48CPU,
+                             ids=PINNED_IDS)
     @pytest.mark.parametrize("elide,queue", MODES, ids=MODE_IDS)
-    def test_serial(self, experiment, pinned, elide, queue, monkeypatch):
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", elide)
-        result = run_update_experiment(experiment)
-        assert _summary(result) == pinned
-        if elide == "0":
+    def test_serial(self, experiment, pinned, elide, queue):
+        result = pinned_run(experiment, spin_elide=elide)
+        assert pinned_summary(result) == pinned
+        assert pinned_sched(result) == PINNED_SCHED[
+            (experiment.scheme, elide)
+        ]
+        if not elide:
             assert result.sched["retry_parks"] == 0
 
-    @pytest.mark.parametrize("elide,queue", MODES, ids=MODE_IDS)
-    def test_parallel(self, elide, queue, monkeypatch):
-        # Workers fork after the env change, so they inherit it.
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", elide)
-        results = run_tasks(
-            [("update", experiment) for experiment, _ in PINNED_48CPU],
-            workers=2,
-        )
-        assert [_summary(r) for r in results] == [
+    @pytest.mark.parametrize("queue", ["cal", "heap"],
+                             ids=["elide-cal", "elide-heap"])
+    def test_parallel(self, queue):
+        # The sched counters must survive the trip back from the worker.
+        results = pinned_parallel_run()
+        assert [pinned_summary(r) for r in results] == [
             pinned for _, pinned in PINNED_48CPU
         ]
+        assert [pinned_sched(r) for r in results] == [
+            PINNED_SCHED[(experiment.scheme, True)]
+            for experiment, _ in PINNED_48CPU
+        ]
 
-    def test_retry_parking_engages_on_coarse_point(self, monkeypatch):
-        # Guards the identity matrix against vacuity: the contended CSG
-        # point must actually park retry waiters (and tick them).
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
-        result = run_update_experiment(PINNED_48CPU[0][0])
-        sched = result.sched
+    def test_retry_parking_engages_on_coarse_point(self):
+        # Guards the pins against vacuity: the contended CSG point must
+        # actually park retry waiters (and tick them).
+        sched = pinned_run(PINNED_48CPU[0][0]).sched
         assert sched["retry_parks"] > 0
         assert sched["retry_wakes"] == sched["retry_parks"]
         assert sched["retry_ticks"] > 0
@@ -283,8 +270,10 @@ class TestCycleBudgetBoundary:
     @pytest.mark.parametrize("budget", BUDGETS)
     def test_budget_identity_mid_chain(self, budget):
         experiment = PINNED_48CPU[0][0]
-        elided = _machine(experiment, spin_elide=True).run(max_cycles=budget)
-        plain = _machine(experiment, spin_elide=False).run(max_cycles=budget)
+        elided = update_machine(experiment).run(max_cycles=budget)
+        plain = update_machine(experiment, spin_elide=False).run(
+            max_cycles=budget
+        )
         assert elided == plain
         assert elided.aborted_early
         assert plain.sched["parks"] == plain.sched["retry_parks"] == 0
@@ -294,9 +283,7 @@ class TestCycleBudgetBoundary:
         # parked chains when the clamp hits, or the identity above is
         # vacuous.
         experiment = PINNED_48CPU[0][0]
-        elided = _machine(experiment, spin_elide=True).run(
-            max_cycles=137_777
-        )
+        elided = update_machine(experiment).run(max_cycles=137_777)
         assert elided.sched["spin_steps"] > 0
         assert elided.sched["retry_ticks"] > 0
 
@@ -304,7 +291,6 @@ class TestCycleBudgetBoundary:
 class TestRetryCheck:
     def test_differential_run_passes(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHECK", "1")
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
         experiment = UpdateExperiment("coarse", 12, 1000, 4, iterations=5)
         result = run_update_experiment(experiment)
         assert result.sched["retry_parks"] > 0
@@ -315,10 +301,9 @@ class TestRetryCheck:
         # differential against the jittered non-elided reference must
         # come back bit-identical, with parking demonstrably engaged.
         monkeypatch.setenv("REPRO_CHECK", "1")
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
         experiment = UpdateExperiment("coarse", 12, 1000, 4, iterations=5)
         for seed in (0, 7):
-            machine = _machine(experiment)
+            machine = update_machine(experiment)
             machine.schedule_perturb = ScheduleJitter(seed, 9)
             result = machine.run()
             assert result.sched["retry_parks"] > 0
@@ -327,7 +312,23 @@ class TestRetryCheck:
     def test_differential_with_cycle_budget(self, monkeypatch):
         # The replay must also agree when the run stops mid-chain.
         monkeypatch.setenv("REPRO_CHECK", "1")
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
         experiment = UpdateExperiment("coarse", 12, 1000, 4, iterations=5)
         result = run_update_experiment(experiment, max_cycles=9000)
         assert result.aborted_early
+
+    def test_differential_rwlock_run_passes(self, monkeypatch):
+        # The same replay on the reader/writer lock point.
+        monkeypatch.setenv("REPRO_CHECK", "1")
+        experiment = UpdateExperiment("rwlock", 12, 1000, 4, iterations=5)
+        result = run_update_experiment(experiment)
+        assert result.sched["retry_parks"] > 0
+
+    def test_differential_rwlock_under_jitter(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHECK", "1")
+        experiment = UpdateExperiment("rwlock", 12, 1000, 4, iterations=5)
+        for seed in (3, 12345):
+            machine = update_machine(experiment)
+            machine.schedule_perturb = ScheduleJitter(seed, 9)
+            result = machine.run()
+            assert result.sched["retry_parks"] > 0
+            assert result.sched["parks"] == 0  # spin parking stays off

@@ -20,7 +20,6 @@ import pytest
 from repro.bench.figures import UpdateExperiment
 from repro.bench.parallel import (
     FootprintTask,
-    ResultCache,
     code_version,
     result_to_payload,
     run_tasks,
@@ -158,9 +157,16 @@ class TestResultStore:
                 if ".tmp." in name] == []
 
 
-class TestResultCacheHardening:
+class TestDiskTierHardening:
+    """The disk tier on its own (memory tier off): torn, corrupt and
+    wrong-shape entries read as misses."""
+
+    @staticmethod
+    def _store(path):
+        return ResultStore(str(path), memory_entries=0, remote_root="")
+
     def test_put_is_atomic_and_unique_tmp(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = self._store(tmp_path)
         cache.put("k", {"type": "scalar", "value": 1})
         cache.put("k", {"type": "scalar", "value": 2})
         assert cache.get("k") == {"type": "scalar", "value": 2}
@@ -168,12 +174,12 @@ class TestResultCacheHardening:
                 if ".tmp." in name] == []
 
     def test_get_tolerates_torn_json(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = self._store(tmp_path)
         (tmp_path / "k.json").write_text('{"type": "sim", "cycles": 12')
         assert cache.get("k") is None
 
     def test_get_tolerates_wrong_shape(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = self._store(tmp_path)
         (tmp_path / "k.json").write_text("[1, 2, 3]")
         assert cache.get("k") is None
 

@@ -3,11 +3,12 @@
 Elision is a pure wall-clock optimization under a strict bit-identity
 contract: every architected outcome — cycles, per-CPU instruction
 counts, transaction statistics, final memory — must be exactly the same
-with elision on (the default) and off (``REPRO_SPIN_ELIDE=0``). The
-tests here pin that contract from several angles:
+with elision on (the default) and off (``Machine(spin_elide=False)``,
+the reference path). The tests here pin that contract from several
+angles:
 
-* pinned sweep points, serial and through the parallel runner, in both
-  modes;
+* pinned sweep points, serial in both modes and through the parallel
+  runner;
 * a positive test that parking actually engages (otherwise the identity
   tests would vacuously compare two non-elided runs);
 * false-positive detection: loops that mutate memory, or whose register
@@ -22,10 +23,15 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import update_machine
 from repro.bench.figures import UpdateExperiment, run_update_experiment
 from repro.bench.parallel import run_tasks
+from repro.core.per import PerEventType
 from repro.cpu.assembler import assemble
-from repro.cpu.isa import AGSI, AHI, HALT, J, JNZ, JZ, LHI, LTG, Mem, PAUSE, STG
+from repro.cpu.isa import (
+    AGSI, AHI, DSG, HALT, J, JNZ, JZ, LHI, LTG, Mem, PAUSE, STG, TBEGIN,
+    TBEGINC, TEND,
+)
 from repro.errors import MachineStateError
 from repro.params import ZEC12
 from repro.sim.machine import Machine
@@ -63,9 +69,6 @@ def _summary(result):
 
 
 class TestPinnedBitIdentity:
-    # The elided variants pin the env to "1" so they stay meaningful on
-    # the CI matrix leg that exports REPRO_SPIN_ELIDE=0 globally.
-
     @pytest.fixture(autouse=True)
     def _lock_fallback(self, monkeypatch):
         # The pins name the *lock* fallback baseline (see the matching
@@ -73,27 +76,17 @@ class TestPinnedBitIdentity:
         # REPRO_FALLBACK_MODE=stm matrix leg. Parallel workers fork
         # after the env change, so they inherit it too.
         monkeypatch.setenv("REPRO_FALLBACK_MODE", "lock")
+
     @pytest.mark.parametrize("experiment,pinned", PINNED_POINTS, ids=IDS)
-    def test_serial_elided(self, experiment, pinned, monkeypatch):
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
+    def test_serial_elided(self, experiment, pinned):
         assert _summary(run_update_experiment(experiment)) == pinned
 
     @pytest.mark.parametrize("experiment,pinned", PINNED_POINTS, ids=IDS)
-    def test_serial_unelided(self, experiment, pinned, monkeypatch):
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "0")
-        assert _summary(run_update_experiment(experiment)) == pinned
+    def test_serial_unelided(self, experiment, pinned):
+        plain = update_machine(experiment, spin_elide=False).run()
+        assert _summary(plain) == pinned
 
-    def test_parallel_elided(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
-        results = run_tasks(
-            [("update", experiment) for experiment, _ in PINNED_POINTS],
-            workers=2,
-        )
-        assert [_summary(r) for r in results] == [p for _, p in PINNED_POINTS]
-
-    def test_parallel_unelided(self, monkeypatch):
-        # Workers fork after the env change, so they inherit it.
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "0")
+    def test_parallel_elided(self):
         results = run_tasks(
             [("update", experiment) for experiment, _ in PINNED_POINTS],
             workers=2,
@@ -102,27 +95,18 @@ class TestPinnedBitIdentity:
 
 
 class TestParkingEngages:
-    def test_coarse_point_parks_and_wakes(self, monkeypatch):
+    def test_coarse_point_parks_and_wakes(self):
         # Guards the identity tests against vacuity: with a contended
         # coarse lock the machinery must actually engage.
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
         result = run_update_experiment(PINNED_POINTS[2][0])
         assert result.sched is not None
         assert result.sched["parks"] > 0
         assert result.sched["wakes"] == result.sched["parks"]
 
-    def test_unelided_run_never_parks(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "0")
-        result = run_update_experiment(PINNED_POINTS[2][0])
+    def test_unelided_run_never_parks(self):
+        result = update_machine(PINNED_POINTS[2][0], spin_elide=False).run()
         assert result.sched["parks"] == 0
         assert result.sched["wakes"] == 0
-
-    def test_machine_spin_elide_false_overrides_env(self):
-        machine = Machine(ZEC12, spin_elide=False)
-        machine.add_program(assemble(_spinlock_contender(holds=40)))
-        machine.add_program(assemble(_spinlock_contender(holds=40)))
-        result = machine.run()
-        assert result.sched["parks"] == 0
 
 
 def _spinlock_contender(holds: int):
@@ -138,7 +122,7 @@ def _spinlock_contender(holds: int):
 
 
 class TestFalsePositives:
-    def test_memory_mutating_loop_never_parks(self, monkeypatch):
+    def test_memory_mutating_loop_never_parks(self):
         # The loop's AGSI disqualifies it at predecode: a spin body may
         # not mutate memory. It must never park, and its architected
         # outcome must match the unelided run exactly.
@@ -174,7 +158,7 @@ class TestFalsePositives:
             JNZ("loop"),
             HALT(),
         ]
-        machine = Machine(ZEC12, spin_elide=True)
+        machine = Machine(ZEC12)
         machine.add_program(assemble(items))
         result = machine.run()
         assert result.sched["parks"] == 0
@@ -184,19 +168,19 @@ class TestFalsePositives:
         # The spinlock CSG retry range contains a store, so only the
         # read-only test loop may park; with an uncontended lock nothing
         # spins at all.
-        machine = Machine(ZEC12, spin_elide=True)
+        machine = Machine(ZEC12)
         machine.add_program(assemble(_spinlock_contender(holds=1)))
         result = machine.run()
         assert result.sched["parks"] == 0
 
 
 class TestBudgetAndDeadlock:
-    def test_budget_boundary_is_bit_identical(self, monkeypatch):
+    def test_budget_boundary_is_bit_identical(self):
         experiment = PINNED_POINTS[2][0]
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
         elided = run_update_experiment(experiment, max_cycles=9000)
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "0")
-        plain = run_update_experiment(experiment, max_cycles=9000)
+        plain = update_machine(experiment, spin_elide=False).run(
+            max_cycles=9000
+        )
         assert elided.aborted_early and plain.aborted_early
         assert _summary(elided) == _summary(plain)
         assert elided.cycles <= 9000
@@ -219,7 +203,7 @@ class TestBudgetAndDeadlock:
             J("spin"),
             ("out", HALT()),
         ]
-        machine = Machine(ZEC12, spin_elide=True)
+        machine = Machine(ZEC12)
         machine.add_program(assemble(holder))
         machine.add_program(assemble(spinner))
         with pytest.raises(MachineStateError) as exc:
@@ -244,7 +228,7 @@ class TestBudgetAndDeadlock:
             J("spin"),
             ("out", HALT()),
         ]
-        machine = Machine(ZEC12, spin_elide=True)
+        machine = Machine(ZEC12)
         machine.add_program(assemble(holder))
         machine.add_program(assemble(spinner))
         result = machine.run(max_cycles=5_000)
@@ -254,7 +238,6 @@ class TestBudgetAndDeadlock:
 
 class TestSpinCheck:
     def test_differential_run_passes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
         monkeypatch.setenv("REPRO_CHECK", "1")
         assert _summary(
             run_update_experiment(PINNED_POINTS[2][0])
@@ -266,3 +249,69 @@ class TestSpinCheck:
         monkeypatch.setenv("REPRO_CHECK", "1")
         report = fuzz(seed=0, n_cases=5, shrink=False)
         assert report.ok, [f.violations for f in report.failures]
+
+
+class TestReferenceSetup:
+    """``REPRO_CHECK=1`` replays on a reference machine that must start
+    from the same pre-run configuration as the checked one, or a
+    correct run is reported as a divergence."""
+
+    #: One transactional increment of VAR; R5 = 1 iff the abort path ran.
+    TX_INCREMENT = [
+        LHI(5, 0),
+        TBEGIN(),
+        JNZ("handler"),
+        AGSI(VAR, 1),
+        TEND(),
+        J("done"),
+        ("handler", LHI(5, 1)),
+        ("done", HALT()),
+    ]
+
+    def test_per_controls_reach_the_reference(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHECK", "1")
+        machine = Machine(ZEC12)
+        machine.add_program(assemble([LHI(1, 7), STG(1, VAR), HALT()]))
+        machine.add_program(assemble(self.TX_INCREMENT))
+        for engine in machine.engines:
+            engine.per.watch_storage(VAR.disp, 8)
+            engine.per.event_suppression = True
+            engine.per.tend_event = True
+        machine.run()
+        kinds = {event.event_type for event in machine.os.per_events}
+        assert kinds == {PerEventType.STORAGE_ALTERATION,
+                         PerEventType.TRANSACTION_END}
+
+    def test_tdc_mode_reaches_the_reference(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHECK", "1")
+        machine = Machine(ZEC12)
+        cpu = machine.add_program(assemble(self.TX_INCREMENT))
+        machine.engines[0].tdc.set_mode(2)
+        machine.run()
+        assert cpu.regs.get_gr(5) == 1  # mode 2 aborts every transaction
+        assert machine.memory.read_int(VAR.disp, 8) == 0
+
+    def test_unmapped_pages_reach_the_reference(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHECK", "1")
+        machine = Machine(ZEC12)
+        machine.add_program(assemble([LHI(1, 7), STG(1, VAR), HALT()]))
+        machine.page_table.unmap(VAR.disp)
+        machine.run()
+        assert machine.os.interruptions  # the page fault was serviced
+        assert machine.memory.read_int(VAR.disp, 8) == 7
+
+    def test_os_fatal_hook_reaches_the_reference(self, monkeypatch):
+        # A constrained transaction that divides (restricted there)
+        # violates its constraints on every retry; the installed hook
+        # keeps the OS from raising, in the reference run too, and sees
+        # each violation of the checked run exactly once.
+        monkeypatch.setenv("REPRO_CHECK", "1")
+        machine = Machine(ZEC12)
+        cpu = machine.add_program(assemble(
+            [LHI(1, 4), LHI(2, 2), TBEGINC(), DSG(1, 2), TEND(), HALT()]
+        ))
+        seen = []
+        machine.os.on_fatal = seen.append
+        result = machine.run(max_cycles=50_000)
+        assert result.aborted_early
+        assert seen and len(seen) == len(cpu.aborts)
