@@ -54,11 +54,7 @@ def main() -> int:
           f"(under profiler — wall time is inflated)")
     sched = result.sched or {}
     print("scheduler: "
-          + ", ".join(f"{key}={sched.get(key, 0)}"
-                      for key in ("parks", "wakes", "retry_parks",
-                                  "retry_wakes", "heap_elides",
-                                  "heap_elided_steps", "pushpop_fusions",
-                                  "broadcast_stops")))
+          + ", ".join(f"{key}={value}" for key, value in sched.items()))
     # Event-queue composition: every queue event is either an elided
     # placeholder advance (parked spin / parked retry) or a plain step
     # of a running CPU (heap-elided steps never enter the queue).

@@ -187,7 +187,7 @@ class _ParkedRetry:
 
     __slots__ = ("line", "block", "key", "exclusive", "xi_type", "engine",
                  "cpu", "l1_hit", "l2_hit", "ticks", "fabric", "l1_entries",
-                 "l2_entries", "lines", "probe_cache", "ports", "reject_lat")
+                 "l2_entries", "lines", "ports", "reject_lat")
 
     def __init__(self, engine: TxEngine, line: int, block: int,
                  exclusive: bool) -> None:
@@ -213,7 +213,6 @@ class _ParkedRetry:
         self.l1_entries = engine._l1_entries
         self.l2_entries = engine._l2_entries
         self.lines = fabric._lines
-        self.probe_cache = fabric._probe_cache
         self.ports = fabric._ports
         self.reject_lat = fabric._outcome_reject.latency
 

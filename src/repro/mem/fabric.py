@@ -22,7 +22,6 @@ using :class:`repro.params.Latencies`.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ProtocolError
@@ -152,6 +151,11 @@ class CoherenceFabric:
             ]
             self._rank_rows.append(row)
             self._dist_lat_rows.append([lat_by_rank[r] for r in row])
+        #: Read-only intervention source by rank: (label, latency).
+        self._intervention_by_rank = tuple(zip(
+            ("intervention", "intervention-mcm", "intervention-remote"),
+            lat_by_rank,
+        ))
         #: Per-CPU L3/L4 install callbacks (avoid per-fetch closures).
         self._l3_install_cbs = [
             (lambda c: lambda victim: self._lru_cascade_l3(c, victim))(c)
@@ -164,16 +168,6 @@ class CoherenceFabric:
         #: Per-registered-CPU L1/L2 eviction callbacks (filled in register).
         self._l1_evict_cbs: List = []
         self._l2_evict_cbs: List = []
-        #: Memoized probe results: line -> {(cpu, exclusive): latency}.
-        #: Every state transition that could change a probe result for a
-        #: line (ownership transfer, XI, private/shared-cache eviction or
-        #: install) calls :meth:`probe_invalidate` for that line; see the
-        #: call sites below and ``TxEngine._abort_now``. With
-        #: ``REPRO_CHECK=1`` in the environment every cache hit is
-        #: re-verified against a fresh computation (see
-        #: :meth:`repro.sim.machine.Machine.run`).
-        self._probe_cache: Dict[int, Dict[Tuple[int, bool], int]] = {}
-        self._probe_check = os.environ.get("REPRO_CHECK") == "1"
         #: Spin-watch registry (see :class:`~repro.mem.xi.LineWatchTable`)
         #: and the scheduler's wake callback (wired by the machine). Both
         #: maps are empty unless spin elision has actually parked a CPU,
@@ -187,6 +181,7 @@ class CoherenceFabric:
         self.stats_fetches = 0
         self.stats_rejects = 0
         self.stats_xis = 0
+        #: Always 0 (no probe memo); read by perfbench/layertrace.py.
         self.stats_probe_hits = 0
 
     # -- registration -------------------------------------------------------
@@ -198,14 +193,8 @@ class CoherenceFabric:
             raise ProtocolError("more CPUs than the topology supports")
         self._ports.append(port)
         # Pre-bound eviction callbacks, so the install fast path does not
-        # allocate a closure per miss. The L1 victim leaves the CPU's L1,
-        # so its memoized probe results are stale.
-        self._l1_evict_cbs.append(
-            lambda entry, _note=port.note_l1_eviction,
-            _pop=self._probe_cache.pop: (
-                _pop(entry.line, None), _note(entry)
-            )[1]
-        )
+        # allocate a closure per miss.
+        self._l1_evict_cbs.append(port.note_l1_eviction)
         self._l2_evict_cbs.append(
             lambda victim, _port=port: self._evict_from_private(
                 _port, victim.line
@@ -259,7 +248,6 @@ class CoherenceFabric:
             info.ro_owners.discard(cpu)
             info.ex_owner = cpu
             self._set_private_state(port, line, Ownership.EXCLUSIVE)
-            self._probe_cache.pop(line, None)
             if self.watches.by_block:
                 self._wake_line_watchers(line)
             return FetchOutcome(True, latency, "upgrade")
@@ -271,7 +259,6 @@ class CoherenceFabric:
         ):
             port.l2.directory.touch(l2_entry)
             self._install_l1(port, line, l2_entry.state)
-            self._probe_cache.pop(line, None)
             return self._outcome_l2
 
         # Full miss: the line must come from another CPU, a shared cache,
@@ -309,8 +296,8 @@ class CoherenceFabric:
         else:
             if exclusive:
                 latency += self._invalidate_ro_owners(line, info, except_cpu=cpu)
-            latency += self._shared_source_latency(cpu, line)
-            source = self._shared_source_name(cpu, line)
+            source, shared_latency = self._shared_source(cpu, line)
+            latency += shared_latency
 
         # Grant ownership and install everywhere (inclusive hierarchy).
         info.busy_until = now + latency
@@ -325,12 +312,7 @@ class CoherenceFabric:
         self._install_shared(cpu, line)
         self._install_l2(port, line, want)
         self._install_l1(port, line, want)
-        self._probe_cache.pop(line, None)
         return FetchOutcome(True, latency, source)
-
-    def probe_invalidate(self, line: int) -> None:
-        """Drop memoized probe results for ``line`` (state changed)."""
-        self._probe_cache.pop(line, None)
 
     # -- spin-watch registry ---------------------------------------------------
 
@@ -393,31 +375,7 @@ class CoherenceFabric:
         the data actually arrives, so a transaction is not exposed to
         conflicts on a line it is still waiting for. No XIs are sent and
         no state is modified.
-
-        Results are memoized per (line, cpu, exclusive) until the next
-        coherence event on the line (see :meth:`probe_invalidate`).
         """
-        memo = self._probe_cache.get(line)
-        if memo is None:
-            memo = self._probe_cache[line] = {}
-        else:
-            cached = memo.get((cpu, exclusive))
-            if cached is not None:
-                if self._probe_check:
-                    fresh = self._probe_latency_uncached(cpu, line, exclusive)
-                    if fresh != cached:
-                        raise ProtocolError(
-                            f"stale probe memo for line {line:#x} cpu {cpu} "
-                            f"exclusive={exclusive}: cached {cached}, "
-                            f"fresh {fresh}"
-                        )
-                self.stats_probe_hits += 1
-                return cached
-        latency = self._probe_latency_uncached(cpu, line, exclusive)
-        memo[(cpu, exclusive)] = latency
-        return latency
-
-    def _probe_latency_uncached(self, cpu: int, line: int, exclusive: bool) -> int:
         port = self._ports[cpu]
         lat = self.lat
         entry = port.l1.directory._entries.get(line)
@@ -438,47 +396,15 @@ class CoherenceFabric:
             return lat.xi_round_trip + self._distance_latency(
                 cpu, info.ex_owner
             )
-        latency = self._shared_probe_latency(cpu, line)
+        latency = self._shared_source(cpu, line)[1]
         if exclusive and info is not None and info.ro_owners - {cpu}:
             latency += lat.xi_round_trip
         return latency
-
-    def _shared_probe_latency(self, cpu: int, line: int) -> int:
-        """Like :meth:`_shared_source_latency` but without LRU touches."""
-        info = self._lines.get(line)
-        if info is not None and info.ro_owners:
-            row = self._rank_rows[cpu]
-            nearest = 3
-            for o in info.ro_owners:
-                if o != cpu:
-                    r = row[o]
-                    if r < nearest:
-                        nearest = r
-                        if r == 0:
-                            break
-            if nearest < 3:
-                return (
-                    self.lat.on_chip_intervention,
-                    self.lat.same_mcm,
-                    self.lat.cross_mcm,
-                )[nearest]
-        if self._l3_by_cpu[cpu].contains(line):
-            return self.lat.l3_hit
-        if self._l4_by_cpu[cpu].contains(line):
-            return self.lat.same_mcm
-        my_mcm = self._mcm_of_cpu[cpu]
-        for l4 in self.l4s:
-            if l4.mcm != my_mcm and l4.contains(line):
-                return self.lat.cross_mcm
-        return self.lat.memory
 
     # -- XI delivery ------------------------------------------------------------
 
     def _send_xi(self, xi: Xi) -> Tuple[XiResponse, int]:
         self.stats_xis += 1
-        # The target mutates its own directories (or aborts) while
-        # answering, so every memoized probe of the line is suspect.
-        self._probe_cache.pop(xi.line, None)
         # A parked spinner's copy of its watched line (and hence the value
         # its elided loads observe) can only be affected by an XI
         # delivered *to it* for that line — wake it just before delivery,
@@ -511,7 +437,6 @@ class CoherenceFabric:
             self._send_xi(Xi(XiType.READ_ONLY, line, except_cpu, owner))
             latency = self.lat.xi_round_trip  # overlapped, charge once
         info.ro_owners = {o for o in info.ro_owners if o == except_cpu}
-        self._probe_cache.pop(line, None)
         return latency
 
     # -- private-cache installation with eviction cascades ------------------------
@@ -534,7 +459,6 @@ class CoherenceFabric:
 
     def _evict_from_private(self, port: CpuPort, line: int) -> None:
         """A line leaves a CPU's L2 (and, by inclusivity, its L1)."""
-        self._probe_cache.pop(line, None)
         # The line is leaving the hierarchy entirely; the engine's
         # note_l2_eviction below performs the footprint-overflow check.
         port.l1.directory.remove(line)
@@ -563,14 +487,12 @@ class CoherenceFabric:
 
     def _lru_cascade_l3(self, cpu: int, victim: int) -> None:
         """An L3 eviction sends LRU XIs to the cores under that chip."""
-        self._probe_cache.pop(victim, None)
         chip = self._chip_of_cpu[cpu]
         chip_of = self._chip_of_cpu
         self._lru_xi_below(victim, lambda c: chip_of[c] == chip)
 
     def _lru_cascade_l4(self, cpu: int, victim: int) -> None:
         """An L4 eviction empties the MCM: L3s below and their cores."""
-        self._probe_cache.pop(victim, None)
         mcm = self._mcm_of_cpu[cpu]
         mcm_of_chip = self._mcm_of_chip
         for l3 in self.l3s:
@@ -597,30 +519,24 @@ class CoherenceFabric:
     def _distance_latency(self, cpu: int, other: int) -> int:
         return self._dist_lat_rows[cpu][other]
 
-    def _shared_source_latency(self, cpu: int, line: int) -> int:
-        name = self._shared_source_name(cpu, line)
-        # The intervention tiers ride the same interconnect hops as the
-        # shared-cache tiers at the same distance, so the same-MCM and
-        # cross-MCM interventions reuse those latencies — distinct
-        # *labels* (for fetch-source attribution), identical cycles.
-        return {
-            "l3": self.lat.l3_hit,
-            "l4": self.lat.same_mcm,
-            "remote": self.lat.cross_mcm,
-            "memory": self.lat.memory,
-            "intervention": self.lat.on_chip_intervention,
-            "intervention-mcm": self.lat.same_mcm,
-            "intervention-remote": self.lat.cross_mcm,
-        }[name]
+    def _shared_source(self, cpu: int, line: int) -> Tuple[str, int]:
+        """Where a miss with no foreign exclusive owner is sourced from.
 
-    def _shared_source_name(self, cpu: int, line: int) -> str:
+        Returns ``(label, latency)`` for the nearest copy: another core's
+        read-only copy by intervention, the chip's L3, the MCM's L4, a
+        remote MCM's L4, or memory. Touches no LRU state, so probes and
+        fetches share it (the fetch's ``_install_shared`` refreshes the
+        L3/L4 entries afterwards).
+        """
+        lat = self.lat
         info = self._lines.get(line)
         if info is not None and info.ro_owners:
-            # Another core holds it read-only; the nearest copy sources
-            # it via core-to-core intervention. Label the source by the
-            # intervention distance — historically the same-MCM and
-            # cross-MCM cases were misreported as "l4"/"remote", making
-            # ``metrics.fetch_sources`` count them as shared-cache hits.
+            # The nearest read-only copy sources it via core-to-core
+            # intervention, labelled by distance. The same-MCM and
+            # cross-MCM interventions ride the same interconnect hops as
+            # the L4 and remote tiers, so they reuse those latencies:
+            # distinct labels (for fetch-source attribution), identical
+            # cycles.
             row = self._rank_rows[cpu]
             nearest = 3
             for o in info.ro_owners:
@@ -631,24 +547,21 @@ class CoherenceFabric:
                         if r == 0:
                             break
             if nearest < 3:
-                return (
-                    "intervention", "intervention-mcm", "intervention-remote"
-                )[nearest]
-        if self._l3_by_cpu[cpu].touch(line):
-            return "l3"
-        if self._l4_by_cpu[cpu].touch(line):
-            return "l4"
+                return self._intervention_by_rank[nearest]
+        if self._l3_by_cpu[cpu].contains(line):
+            return "l3", lat.l3_hit
+        if self._l4_by_cpu[cpu].contains(line):
+            return "l4", lat.same_mcm
         my_mcm = self._mcm_of_cpu[cpu]
         for l4 in self.l4s:
             if l4.mcm != my_mcm and l4.contains(line):
-                return "remote"
-        return "memory"
+                return "remote", lat.cross_mcm
+        return "memory", lat.memory
 
     # -- ownership fix-ups used by the engines ------------------------------------
 
     def release_line(self, cpu: int, line: int) -> None:
         """Remove ``line`` from a CPU's private caches and the ownership map."""
-        self._probe_cache.pop(line, None)
         port = self._ports[cpu]
         port.l1.directory.remove(line)
         port.l2.directory.remove(line)

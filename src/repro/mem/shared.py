@@ -27,14 +27,6 @@ class SharedCache:
     def contains(self, line: int) -> bool:
         return self.directory.contains(line)
 
-    def touch(self, line: int) -> bool:
-        """Refresh LRU state on a hit; returns whether the line was present."""
-        entry = self.directory.lookup(line)
-        if entry is None:
-            return False
-        self.directory.touch(entry)
-        return True
-
     def install(
         self, line: int, on_lru_eviction: Callable[[int], None]
     ) -> None:

@@ -168,8 +168,7 @@ class Machine:
 
         With ``REPRO_CHECK=1`` in the environment, a run of assembled
         programs with elision enabled is replayed on a reference machine
-        and compared (see :meth:`_reference_check`); the same switch
-        makes every fabric re-verify its probe-memo hits.
+        and compared (see :meth:`_reference_check`).
         """
         if not self.drivers:
             raise ConfigurationError("no CPUs attached to the machine")
@@ -195,24 +194,11 @@ class Machine:
         aborted_early = max_cycles is not None and any(
             not d.done for d in self.drivers
         )
-        sched = self.scheduler
         result = SimResult(
             cycles=cycles,
             cpus=[self._cpu_result(i) for i in range(len(self.drivers))],
             aborted_early=aborted_early,
-            sched={
-                "parks": sched.stats_parks,
-                "wakes": sched.stats_wakes,
-                "retry_parks": sched.stats_retry_parks,
-                "retry_wakes": sched.stats_retry_wakes,
-                "retry_ticks": sched.stats_retry_ticks,
-                "spin_steps": sched.stats_spin_steps,
-                "events": sched.stats_events,
-                "heap_elides": sched.stats_heap_elides,
-                "heap_elided_steps": sched.stats_heap_elided_steps,
-                "pushpop_fusions": sched.stats_pushpop_fusions,
-                "broadcast_stops": sched.stats_broadcast_stops,
-            },
+            sched=self.scheduler.counters(),
         )
         if ref is not None:
             self._reference_check(result, ref, max_cycles)

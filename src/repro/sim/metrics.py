@@ -47,6 +47,7 @@ from typing import Any, Dict, IO, Iterable, List, Optional
 from ..core.abort import AbortCode
 from ..core.engine import MetricsSink
 from ..errors import ConfigurationError
+from .scheduler import SCHED_COUNTERS
 
 #: Version tag embedded in every summary / JSONL record.
 SCHEMA = "repro.metrics/1"
@@ -406,17 +407,11 @@ def _empty_hist_dict() -> Dict[str, Any]:
     return {"count": 0, "total": 0, "max": 0, "mean": 0.0, "histogram": {}}
 
 
-#: Scheduler self-observability counters surfaced in ``totals["scheduler"]``.
-_SCHED_KEYS = ("parks", "wakes", "retry_parks", "retry_wakes",
-               "retry_ticks", "spin_steps", "events",
-               "heap_elides", "heap_elided_steps",
-               "pushpop_fusions", "broadcast_stops")
-
-
 def _scheduler_stats(scheduler) -> Dict[str, int]:
+    """Scheduler counters surfaced in ``totals["scheduler"]``."""
     if scheduler is None:
-        return {key: 0 for key in _SCHED_KEYS}
-    return {key: getattr(scheduler, f"stats_{key}", 0) for key in _SCHED_KEYS}
+        return dict.fromkeys(SCHED_COUNTERS, 0)
+    return scheduler.counters()
 
 
 def _totals_from_cpus(cpu_dicts: List[Dict[str, Any]],
@@ -488,11 +483,11 @@ def merge_summaries(summaries: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
             a["fabric"][key] += b["fabric"][key]
         # ``.get`` tolerates summaries serialized before the scheduler
         # counter block existed.
-        sched_a = a.get("scheduler") or {key: 0 for key in _SCHED_KEYS}
+        sched_a = a.get("scheduler") or {}
         sched_b = b.get("scheduler") or {}
         a["scheduler"] = {
             key: sched_a.get(key, 0) + sched_b.get(key, 0)
-            for key in _SCHED_KEYS
+            for key in SCHED_COUNTERS
         }
         a["broadcast_stops"] = (
             a.get("broadcast_stops", 0) + b.get("broadcast_stops", 0)

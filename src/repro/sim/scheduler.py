@@ -36,7 +36,7 @@ see :meth:`repro.sim.machine.Machine.run`).
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.engine import FetchRetry, RetryPark, SpinPark
 from ..errors import MachineStateError, ProtocolError
@@ -46,6 +46,13 @@ from ..mem.xi import Xi, XiResponse
 #: Time sentinel beyond any simulated time: comparisons against an int
 #: beat a None-check per event.
 _NEVER = 0x7FFFFFFFFFFFFFFF
+
+#: Self-observability counters, in ``SimResult.sched`` order: each names
+#: a ``Scheduler.stats_<name>`` attribute (see :meth:`Scheduler.counters`).
+SCHED_COUNTERS = ("parks", "wakes", "retry_parks", "retry_wakes",
+                  "retry_ticks", "spin_steps", "events",
+                  "heap_elides", "heap_elided_steps",
+                  "pushpop_fusions", "broadcast_stops")
 
 
 class Scheduler:
@@ -113,6 +120,10 @@ class Scheduler:
         """Total events ever scheduled (every queue push consumes one
         sequence number, parked placeholder pushes included)."""
         return self._seq
+
+    def counters(self) -> Dict[str, int]:
+        """The :data:`SCHED_COUNTERS` values, keyed by name."""
+        return {key: getattr(self, "stats_" + key) for key in SCHED_COUNTERS}
 
     def _push(self, time: int, index: int) -> None:
         self._seq += 1
@@ -464,17 +475,15 @@ class Scheduler:
         re-executed instruction's ``_fetch`` would reach at ``time``, and
         applies exactly its engine-visible effects:
 
-        * **probe step due** (``_fetch_wait`` clear): run the real probe
-          (memo bookkeeping and counters included), arm ``_fetch_wait``
-          and schedule the try step — the FetchRetry the real step would
-          have raised;
+        * **probe step due** (``_fetch_wait`` clear): run the real probe,
+          arm ``_fetch_wait`` and schedule the try step — the FetchRetry
+          the real step would have raised;
         * **try step due** (``_fetch_wait`` armed): count the fetch
           attempt and either back off the in-flight transfer window
           (busy) or deliver the real XI to the exclusive owner when — and
           only when — the shared stiff-arm predicate says it will be
-          rejected (the owner's reject counters, metrics hooks, probe
-          memo invalidation and spin-watch wakes all happen through the
-          ordinary fabric path).
+          rejected (the owner's reject counters, metrics hooks and
+          spin-watch wakes all happen through the ordinary fabric path).
 
         Returns the next event's time, or -1 when the pending step would
         do anything *other* than raise another FetchRetry (fetch success,
@@ -552,28 +561,9 @@ class Scheduler:
             not exclusive or l2_entry.state is Ownership.EXCLUSIVE
         ):
             return -1  # own-L2 sufficient: no probe, the step succeeds
-        cache = rec.probe_cache
-        memo = cache.get(line)
-        probe = memo.get((rec.cpu, exclusive)) if memo is not None else None
-        if probe is None:
-            # Effect-free peek first: a cheap probe means the step runs
-            # straight into try_fetch and must execute for real (its own
-            # probe_latency call memoizes then). An expensive one
-            # memoizes here, exactly as probe_latency's miss path would.
-            probe = rec.fabric._probe_latency_uncached(
-                rec.cpu, line, exclusive
-            )
-            if probe <= rec.l2_hit:
-                return -1
-            if memo is None:
-                memo = cache[line] = {}
-            memo[(rec.cpu, exclusive)] = probe
-        else:
-            if probe <= rec.l2_hit:
-                return -1
-            # Memo hit: take the real hit path for its counter and the
-            # REPRO_CHECK probe re-verify.
-            rec.fabric.probe_latency(rec.cpu, line, exclusive)
+        probe = rec.fabric.probe_latency(rec.cpu, line, exclusive)
+        if probe <= rec.l2_hit:
+            return -1  # cheap probe: the step runs straight into try_fetch
         engine._fetch_wait = rec.key
         rec.ticks += 1
         if perturb is None:

@@ -149,6 +149,11 @@ class StmRuntime:
     and participate in coherence without re-entering the routing.
     """
 
+    #: Test-only fault injection: skip commit-time read validation (the
+    #: oracle mutation tests patch it on to prove the mixed-history
+    #: fuzzer catches a broken STM).
+    test_skip_validation = False
+
     def __init__(self, engine) -> None:
         self.engine = engine
         cls = type(engine)
@@ -177,12 +182,6 @@ class StmRuntime:
         self.wlines: Set[int] = set()
         #: 128-byte grains written (each maps to one orec to lock).
         self._wgrains: Set[int] = set()
-        #: Test-only fault injection: skip commit-time read validation
-        #: (used by the oracle mutation tests to prove the mixed-history
-        #: fuzzer catches a broken STM).
-        self.test_skip_validation = (
-            os.environ.get("REPRO_STM_TEST_BUG") == "1"
-        )
 
         # Resumable commit state (see :meth:`commit`). ``_c_orecs`` is
         # None outside a commit attempt.

@@ -89,6 +89,56 @@ def test_l3_hit_after_release():
     assert outcome.latency == harness.params.latencies.l3_hit
 
 
+def test_fetch_source_attribution_across_topology():
+    """Each of the seven miss sources carries its own label and latency.
+
+    Two MCMs of two 6-core chips: CPUs 0 and 1 share chip 0, CPU 6 sits
+    on the other chip of MCM 0 and CPU 12 on MCM 1. Every fetch here is
+    read-only with no exclusive owner, so the probe taken just before it
+    must predict its latency exactly.
+    """
+    params = small_params(n_cpus=13)
+    assert params.topology.mcms == 2
+    harness = EngineHarness(params=params, n_cpus=13)
+    fabric = harness.fabric
+    lat = params.latencies
+
+    def fetch(cpu, line):
+        harness.clock[0] += 10_000  # let the transfer window pass
+        probe = fabric.probe_latency(cpu, line, False)
+        outcome = fabric.try_fetch(cpu, line, False)
+        assert outcome.done
+        assert probe == outcome.latency, outcome.source
+        return outcome.source, outcome.latency
+
+    def shared_copy_only(line):
+        # CPU 0's fetch leaves the line in chip 0's L3 and MCM 0's L4;
+        # dropping CPU 0's private copy leaves no read-only owner.
+        fetch(0, line)
+        fabric.release_line(0, line)
+
+    lines = iter(range(LINE, LINE + 16 * 256, 256))
+
+    line = next(lines)
+    assert fetch(0, line) == ("memory", lat.memory)
+    assert fetch(1, line) == ("intervention", lat.on_chip_intervention)
+    line = next(lines)
+    fetch(0, line)
+    assert fetch(6, line) == ("intervention-mcm", lat.same_mcm)
+    line = next(lines)
+    fetch(0, line)
+    assert fetch(12, line) == ("intervention-remote", lat.cross_mcm)
+    line = next(lines)
+    shared_copy_only(line)
+    assert fetch(1, line) == ("l3", lat.l3_hit)
+    line = next(lines)
+    shared_copy_only(line)
+    assert fetch(6, line) == ("l4", lat.same_mcm)
+    line = next(lines)
+    shared_copy_only(line)
+    assert fetch(12, line) == ("remote", lat.cross_mcm)
+
+
 def test_busy_line_cannot_bounce_instantly(duo):
     """Per-line transfer serialisation: a just-transferred line is busy."""
     duo.store(0, LINE, 1)       # CPU0 takes the line (memory fetch)

@@ -14,11 +14,18 @@ from repro.params import CacheGeometry
 
 class TestSharedCacheUnit:
     def test_install_and_touch(self):
+        # Re-installing a present line refreshes its LRU position (the
+        # fetch path's only L3/L4 touch).
         l3 = L3Cache(CacheGeometry(ways=2, rows=2), chip=0)
-        l3.install(0x100, on_lru_eviction=lambda line: None)
+        victims = []
+        l3.install(0x100, on_lru_eviction=victims.append)
         assert l3.contains(0x100)
-        assert l3.touch(0x100)
-        assert not l3.touch(0x999)
+        assert not l3.contains(0x999)
+        l3.install(0x300, on_lru_eviction=victims.append)  # same row
+        l3.install(0x100, on_lru_eviction=victims.append)
+        l3.install(0x500, on_lru_eviction=victims.append)
+        assert victims == [0x300]
+        assert l3.contains(0x100)
 
     def test_eviction_callback_fires(self):
         l3 = L3Cache(CacheGeometry(ways=1, rows=1), chip=0)

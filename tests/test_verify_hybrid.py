@@ -6,10 +6,10 @@ histories where hardware and software (STM) transactions interleave:
 * bounded fixed-seed hybrid fuzz runs must come back green, and must
   demonstrably exercise both commit paths (a sweep whose software side
   never runs proves nothing about mixed histories);
-* *mutation testing*: with ``REPRO_STM_TEST_BUG=1`` the STM skips its
-  read-set validation, and the fuzzer must catch the resulting lost
-  updates within a bounded number of cases — the strongest evidence the
-  mixed-history oracles have teeth;
+* *mutation testing*: with ``StmRuntime.test_skip_validation`` patched
+  on, the STM skips its read-set validation, and the fuzzer must catch
+  the resulting lost updates within a bounded number of cases — the
+  strongest evidence the mixed-history oracles have teeth;
 * the lock-era case stream stays byte-identical (the hybrid generator
   branch consumes no RNG draws unless asked for stm), so every archived
   corpus case and pinned seed keeps meaning what it meant.
@@ -22,6 +22,7 @@ import copy
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.stm import StmRuntime
 from repro.verify import (
     case_from_json,
     case_to_json,
@@ -124,7 +125,7 @@ class TestStmMutation:
     """Satellite: the mixed-history oracles must catch a broken STM."""
 
     def test_skipped_validation_is_caught_within_bound(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STM_TEST_BUG", "1")
+        monkeypatch.setattr(StmRuntime, "test_skip_validation", True)
         report = fuzz(seed=0, n_cases=40, shrink=False, max_failures=1,
                       fallback_mode="stm")
         assert report.failures, (
@@ -137,7 +138,7 @@ class TestStmMutation:
     def test_mutation_does_not_affect_lock_mode(self, monkeypatch):
         # The classic (lock-era) case stream never enters the STM, so
         # the mutation flag must be inert there.
-        monkeypatch.setenv("REPRO_STM_TEST_BUG", "1")
+        monkeypatch.setattr(StmRuntime, "test_skip_validation", True)
         report = fuzz(seed=0, n_cases=5, shrink=False)
         assert report.ok, [f.violations for f in report.failures]
 
