@@ -10,23 +10,64 @@ Run with::
 
     python benchmarks/profile_hotspots.py [--point NAME] [--top N]
                                           [--sort tottime|cumulative]
-                                          [--dump PATH]
+                                          [--by-layer] [--dump PATH]
 
 ``--point`` names one of the ``bench_speed`` baseline points (default the
 headline ``update-coarse-48cpu``); profiling overhead roughly doubles the
 wall time, so the reported seconds are not comparable to bench_speed's.
+
+``--by-layer`` replaces the per-function report with self time summed
+per simulator module (``sim/scheduler``, ``mem/fabric``, ...), the
+private-directory and shared tag-store modules reported together as one
+``caches`` layer and everything outside the package as
+``builtins/stdlib``; ``--top`` then limits the number of layers shown.
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import os
 import pstats
 import sys
+from collections import defaultdict
+from typing import Dict
 
 from bench_speed import BASELINES
 
+import repro
 from repro.bench.figures import run_update_experiment
+
+#: Modules reported under one layer name instead of their own.
+MERGED_LAYERS = {"mem/directory": "caches", "mem/shared": "caches"}
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+
+
+def layer_of(filename: str) -> str:
+    """Layer name of a profiled function's source file."""
+    path = os.path.abspath(filename)
+    if not path.startswith(_PACKAGE_DIR):
+        return "builtins/stdlib"
+    module = os.path.splitext(path[len(_PACKAGE_DIR):])[0]
+    module = module.replace(os.sep, "/")
+    return MERGED_LAYERS.get(module, module)
+
+
+def self_time_by_layer(stats: pstats.Stats) -> Dict[str, float]:
+    """cProfile self (``tottime``) seconds summed per layer."""
+    totals: Dict[str, float] = defaultdict(float)
+    for (filename, _line, _name), entry in stats.stats.items():
+        totals[layer_of(filename)] += entry[2]
+    return dict(totals)
+
+
+def print_layers(totals: Dict[str, float], top: int) -> None:
+    grand = sum(totals.values()) or 1.0
+    ranked = sorted(totals.items(), key=lambda item: (-item[1], item[0]))
+    print(f"{'layer':<24} {'self s':>9} {'share':>7}")
+    for layer, seconds in ranked[:top]:
+        print(f"{layer:<24} {seconds:>9.3f} {100.0 * seconds / grand:>6.1f}%")
+    print(f"{'total':<24} {grand:>9.3f}")
 
 
 def main() -> int:
@@ -39,6 +80,9 @@ def main() -> int:
     parser.add_argument("--sort", default="tottime",
                         choices=["tottime", "cumulative"],
                         help="ranking order for the flat report")
+    parser.add_argument("--by-layer", action="store_true",
+                        help="report self time grouped by module instead "
+                             "of per function")
     parser.add_argument("--dump", metavar="PATH",
                         help="also write the raw pstats data to PATH")
     args = parser.parse_args()
@@ -72,7 +116,10 @@ def main() -> int:
               f"{plain} plain steps ({100.0 * plain / events:.1f}%)")
     print()
     stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
+    if args.by_layer:
+        print_layers(self_time_by_layer(stats), args.top)
+    else:
+        stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
     if args.dump:
         stats.dump_stats(args.dump)
         print(f"raw stats written to {args.dump}")

@@ -1398,7 +1398,7 @@ class TxEngine(CpuPort):
         # LRU XI from an inclusive higher-level cache eviction.
         if self._read_set_hit(line):
             self._abort_now(AbortCode.CACHE_FETCH_RELATED, conflict_token=line)
-        if line in self.store_cache.tx_lines():
+        if self.store_cache.holds_tx_line(line):
             self._abort_now(AbortCode.CACHE_STORE_RELATED, conflict_token=line)
         elif self.store_cache.xi_compare(line) == "drain":
             self.store_cache.drain_line(line)

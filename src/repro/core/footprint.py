@@ -147,7 +147,7 @@ class FootprintPolicy:
         engine = self._engine
         if line in engine.tx.read_set:
             return AbortCode.FETCH_OVERFLOW
-        if line in engine.store_cache.tx_lines():
+        if engine.store_cache.holds_tx_line(line):
             return AbortCode.STORE_OVERFLOW
         return None
 

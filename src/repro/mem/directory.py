@@ -1,23 +1,27 @@
 """Generic set-associative cache directory with true-LRU replacement.
 
-Used (with different geometries) for the L1 and L2 data caches and for the
-shared L3/L4 tag directories. Tracks presence and ownership state only —
-data values live in :class:`repro.mem.memory.MainMemory` plus the store
-machinery, because the L1/L2 are store-through and the architected image is
-always recoverable (see DESIGN.md, "Value storage").
+Used (with different geometries) for the private L1 and L2 data caches;
+the shared L3/L4 are plain tag stores (:mod:`repro.mem.shared`). Tracks
+presence and ownership state only — data values live in
+:class:`repro.mem.memory.MainMemory` plus the store machinery, because the
+L1/L2 are store-through and the architected image is always recoverable
+(see DESIGN.md, "Value storage").
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional
+import operator
+from typing import Callable, Dict, List, Optional
 
 from ..errors import ProtocolError
 from ..params import CacheGeometry
 from .line import DirectoryEntry, Ownership
 
-
-def _lru_key(entry: DirectoryEntry) -> int:
-    return entry.lru
+#: LRU victim key, evaluated in C by ``min``.
+_lru_key = operator.attrgetter("lru")
+#: Hoisted enum member: a module global is cheaper to load than the
+#: class attribute lookup on the install path.
+_INVALID = Ownership.INVALID
 
 
 class SetAssociativeDirectory:
@@ -63,10 +67,6 @@ class SetAssociativeDirectory:
     def row_entries(self, row: int) -> List[DirectoryEntry]:
         return list(self._rows.get(row, {}).values())
 
-    def entries(self) -> Iterator[DirectoryEntry]:
-        for row in self._rows.values():
-            yield from row.values()
-
     def occupancy(self) -> int:
         """Total number of valid entries (for tests and statistics)."""
         return len(self._entries)
@@ -85,16 +85,16 @@ class SetAssociativeDirectory:
         the caller can cascade the eviction (LRU XIs, inclusivity, tx-read
         LRU-extension updates). Returns the (new or refreshed) entry.
         """
-        if state is Ownership.INVALID:
+        if state is _INVALID:
             raise ProtocolError(f"{self.name}: cannot install an invalid line")
-        index = (line >> self._row_shift) & self._row_mask
-        row = self._rows.get(index)
-        if row is None:
-            row = {}
-            self._rows[index] = row
-        entry = row.get(line)
+        entry = self._entries.get(line)
         if entry is None:
-            if len(row) >= self.ways:
+            index = (line >> self._row_shift) & self._row_mask
+            row = self._rows.get(index)
+            if row is None:
+                row = {}
+                self._rows[index] = row
+            elif len(row) >= self.ways:
                 victim = min(row.values(), key=_lru_key)
                 if evict is not None:
                     evict(victim)
@@ -102,7 +102,7 @@ class SetAssociativeDirectory:
                 # an abort invalidating tx-dirty lines), so re-check.
                 if row.pop(victim.line, None) is not None:
                     del self._entries[victim.line]
-            entry = DirectoryEntry(line=line, state=state)
+            entry = DirectoryEntry(line, state)
             row[line] = entry
             self._entries[line] = entry
         else:
@@ -140,7 +140,3 @@ class SetAssociativeDirectory:
                 removed.append(row.pop(line))
                 del self._entries[line]
         return removed
-
-    def clear(self) -> None:
-        self._rows.clear()
-        self._entries.clear()

@@ -156,15 +156,6 @@ class CoherenceFabric:
             ("intervention", "intervention-mcm", "intervention-remote"),
             lat_by_rank,
         ))
-        #: Per-CPU L3/L4 install callbacks (avoid per-fetch closures).
-        self._l3_install_cbs = [
-            (lambda c: lambda victim: self._lru_cascade_l3(c, victim))(c)
-            for c in range(total)
-        ]
-        self._l4_install_cbs = [
-            (lambda c: lambda victim: self._lru_cascade_l4(c, victim))(c)
-            for c in range(total)
-        ]
         #: Per-registered-CPU L1/L2 eviction callbacks (filled in register).
         self._l1_evict_cbs: List = []
         self._l2_evict_cbs: List = []
@@ -238,7 +229,9 @@ class CoherenceFabric:
             entry.lru = l1_dir._clock
             return self._outcome_l1
 
-        info = self.line_info(line)
+        info = self._lines.get(line)
+        if info is None:
+            info = self._lines[line] = LineInfo()
 
         # Read-only upgrade: we own it RO, need exclusive. Other RO owners
         # get (non-rejectable) read-only XIs.
@@ -258,7 +251,7 @@ class CoherenceFabric:
             not exclusive or l2_entry.state is Ownership.EXCLUSIVE
         ):
             port.l2.directory.touch(l2_entry)
-            self._install_l1(port, line, l2_entry.state)
+            l1_dir.install(line, l2_entry.state, self._l1_evict_cbs[cpu])
             return self._outcome_l2
 
         # Full miss: the line must come from another CPU, a shared cache,
@@ -309,9 +302,17 @@ class CoherenceFabric:
                 self._wake_line_watchers(line)
         else:
             info.ro_owners.add(cpu)
-        self._install_shared(cpu, line)
-        self._install_l2(port, line, want)
-        self._install_l1(port, line, want)
+        # Shared levels first, each followed by its inclusivity cascade,
+        # then the private L2 and L1 (whose evictions the callbacks
+        # cascade).
+        victim = self._l3_by_cpu[cpu].install(line)
+        if victim is not None:
+            self._lru_cascade_l3(cpu, victim)
+        victim = self._l4_by_cpu[cpu].install(line)
+        if victim is not None:
+            self._lru_cascade_l4(cpu, victim)
+        port.l2.directory.install(line, want, self._l2_evict_cbs[cpu])
+        l1_dir.install(line, want, self._l1_evict_cbs[cpu])
         return FetchOutcome(True, latency, source)
 
     # -- spin-watch registry ---------------------------------------------------
@@ -397,7 +398,9 @@ class CoherenceFabric:
                 cpu, info.ex_owner
             )
         latency = self._shared_source(cpu, line)[1]
-        if exclusive and info is not None and info.ro_owners - {cpu}:
+        # ``cpu`` itself is not among the RO owners here (the upgrade case
+        # returned above), so any owner is a foreign one to invalidate.
+        if exclusive and info is not None and info.ro_owners:
             latency += lat.xi_round_trip
         return latency
 
@@ -439,23 +442,13 @@ class CoherenceFabric:
         info.ro_owners = {o for o in info.ro_owners if o == except_cpu}
         return latency
 
-    # -- private-cache installation with eviction cascades ------------------------
+    # -- private-cache state and eviction cascades ---------------------------------
 
     def _set_private_state(self, port: CpuPort, line: int, state: Ownership) -> None:
         for directory in (port.l1.directory, port.l2.directory):
             entry = directory.lookup(line)
             if entry is not None:
                 entry.state = state
-
-    def _install_l1(self, port: CpuPort, line: int, state: Ownership) -> None:
-        port.l1.directory.install(
-            line, state, evict=self._l1_evict_cbs[port.cpu_id]
-        )
-
-    def _install_l2(self, port: CpuPort, line: int, state: Ownership) -> None:
-        port.l2.directory.install(
-            line, state, evict=self._l2_evict_cbs[port.cpu_id]
-        )
 
     def _evict_from_private(self, port: CpuPort, line: int) -> None:
         """A line leaves a CPU's L2 (and, by inclusivity, its L1)."""
@@ -469,10 +462,6 @@ class CoherenceFabric:
         port.note_l2_eviction(line)
 
     # -- shared caches ------------------------------------------------------------
-
-    def _install_shared(self, cpu: int, line: int) -> None:
-        self._l3_by_cpu[cpu].install(line, self._l3_install_cbs[cpu])
-        self._l4_by_cpu[cpu].install(line, self._l4_install_cbs[cpu])
 
     def _purge_other_shared(self, cpu: int, line: int) -> None:
         """On exclusive acquisition, stale copies leave other L3s/L4s."""
@@ -525,8 +514,8 @@ class CoherenceFabric:
         Returns ``(label, latency)`` for the nearest copy: another core's
         read-only copy by intervention, the chip's L3, the MCM's L4, a
         remote MCM's L4, or memory. Touches no LRU state, so probes and
-        fetches share it (the fetch's ``_install_shared`` refreshes the
-        L3/L4 entries afterwards).
+        fetches share it (the fetch's L3/L4 installs in :meth:`try_fetch`
+        refresh the LRU stamps afterwards).
         """
         lat = self.lat
         info = self._lines.get(line)

@@ -36,11 +36,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import ProtocolError
-from .address import DOUBLEWORD, doubleword_address, line_address
+from .address import DOUBLEWORD, LINE_SIZE, doubleword_address, line_address
 
 
 BLOCK_SIZE = 128
 _BLOCK_MASK = ~(BLOCK_SIZE - 1)
+#: Offsets of the store-cache blocks that make up one cache line.
+_LINE_BLOCK_OFFSETS = tuple(range(0, LINE_SIZE, BLOCK_SIZE))
 _FULL_DW_MASK = 0xFF  # valid bits of one doubleword
 
 
@@ -228,6 +230,20 @@ class GatheringStoreCache:
         """Line addresses held transactionally (the precise write set)."""
         return {e.line() for e in self._queue if e.tx}
 
+    def holds_tx_line(self, line: int) -> bool:
+        """``line in tx_lines()``, answered from the block index.
+
+        ``line`` is a line address; only its blocks are probed.
+        """
+        by_block = self._by_block
+        for offset in _LINE_BLOCK_OFFSETS:
+            entries = by_block.get(line + offset)
+            if entries:
+                for entry in entries:
+                    if entry.tx:
+                        return True
+        return False
+
     def active_lines(self) -> Set[int]:
         """Line addresses of all active entries (XI-compare set)."""
         return {e.line() for e in self._queue}
@@ -400,14 +416,19 @@ class GatheringStoreCache:
         Returns ``"clear"`` (no overlap), ``"reject"`` (overlaps a
         transactional entry — stiff-arm), or ``"drain"`` (overlaps only
         non-transactional entries, which must be written back before the XI
-        can be accepted).
+        can be accepted). ``line`` is a line address; the answer comes
+        from the block index, one probe per block of the line.
         """
-        overlapping = [e for e in self._queue if e.line() == line]
-        if not overlapping:
-            return "clear"
-        if any(e.tx for e in overlapping):
-            return "reject"
-        return "drain"
+        by_block = self._by_block
+        overlap = False
+        for offset in _LINE_BLOCK_OFFSETS:
+            entries = by_block.get(line + offset)
+            if entries:
+                for entry in entries:
+                    if entry.tx:
+                        return "reject"
+                overlap = True
+        return "drain" if overlap else "clear"
 
     def drain_line(self, line: int) -> int:
         """Write back all non-tx entries for ``line``; returns count drained."""

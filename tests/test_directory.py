@@ -106,13 +106,6 @@ def test_invalidate_where():
     assert directory.contains(b)
 
 
-def test_clear():
-    directory = SetAssociativeDirectory(GEO)
-    directory.install(0x100, Ownership.READ_ONLY)
-    directory.clear()
-    assert directory.occupancy() == 0
-
-
 @given(st.lists(st.integers(min_value=0, max_value=63), min_size=1,
                 max_size=200))
 def test_occupancy_never_exceeds_capacity(line_indices):

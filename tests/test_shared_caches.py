@@ -1,6 +1,7 @@
 """Shared L3/L4 cache tests: inclusivity and LRU-XI cascades."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -8,8 +9,19 @@ from conftest import EngineHarness, small_params
 
 from repro.core.abort import AbortCode
 from repro.errors import TransactionAbortSignal
+from repro.mem.directory import SetAssociativeDirectory
+from repro.mem.line import Ownership
 from repro.mem.shared import L3Cache, L4Cache
 from repro.params import CacheGeometry
+
+
+def installer(cache, victims):
+    """``cache.install`` that records each returned LRU victim."""
+    def install(line):
+        victim = cache.install(line)
+        if victim is not None:
+            victims.append(victim)
+    return install
 
 
 class TestSharedCacheUnit:
@@ -18,27 +30,29 @@ class TestSharedCacheUnit:
         # fetch path's only L3/L4 touch).
         l3 = L3Cache(CacheGeometry(ways=2, rows=2), chip=0)
         victims = []
-        l3.install(0x100, on_lru_eviction=victims.append)
+        install = installer(l3, victims)
+        install(0x100)
         assert l3.contains(0x100)
         assert not l3.contains(0x999)
-        l3.install(0x300, on_lru_eviction=victims.append)  # same row
-        l3.install(0x100, on_lru_eviction=victims.append)
-        l3.install(0x500, on_lru_eviction=victims.append)
+        install(0x300)  # same row
+        install(0x100)
+        install(0x500)
         assert victims == [0x300]
         assert l3.contains(0x100)
 
     def test_eviction_callback_fires(self):
         l3 = L3Cache(CacheGeometry(ways=1, rows=1), chip=0)
         victims = []
-        l3.install(0x000, on_lru_eviction=victims.append)
-        l3.install(0x100, on_lru_eviction=victims.append)
+        install = installer(l3, victims)
+        install(0x000)
+        install(0x100)
         assert victims == [0x000]
         assert l3.contains(0x100)
         assert not l3.contains(0x000)
 
     def test_remove(self):
         l4 = L4Cache(CacheGeometry(ways=2, rows=2), mcm=0)
-        l4.install(0x100, on_lru_eviction=lambda line: None)
+        l4.install(0x100)
         assert l4.remove(0x100) is not None
         assert l4.occupancy() == 0
 
@@ -102,3 +116,29 @@ class TestLruXiCascade:
         assert not harness.fabric.l4s[0].contains(lines[0])
         assert not harness.fabric.l3s[0].contains(lines[0])
         assert 0 not in harness.fabric.line_info(lines[0]).owners()
+
+
+@pytest.mark.parametrize("ways,rows", [(1, 1), (2, 2), (3, 4)])
+def test_tag_store_matches_directory_reference(ways, rows):
+    """The L3/L4 tag store picks exactly the victims the generic
+    set-associative directory picks, over random installs and removes."""
+    geometry = CacheGeometry(ways=ways, rows=rows)
+    cache = L3Cache(geometry, chip=0)
+    reference = SetAssociativeDirectory(geometry)
+    rng = random.Random(ways * 100 + rows)
+    pool = [i * geometry.line_size for i in range(3 * ways * rows + 1)]
+    for _ in range(10_000):
+        line = rng.choice(pool)
+        if rng.random() < 0.8:
+            evicted = []
+            reference.install(line, Ownership.EXCLUSIVE,
+                              evict=lambda e: evicted.append(e.line))
+            victim = cache.install(line)
+            assert [victim] == (evicted or [None])
+        else:
+            removed = reference.remove(line)
+            assert cache.remove(line) == (
+                None if removed is None else removed.line)
+        probe = rng.choice(pool)
+        assert cache.contains(probe) == reference.contains(probe)
+        assert cache.occupancy() == reference.occupancy()

@@ -1,5 +1,7 @@
 """Unit tests for the gathering store cache (paper section III.D)."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -184,3 +186,49 @@ def test_drain_everything_reaches_memory_once(addresses):
     final = drained_bytes(cache)
     for addr, value in expected.items():
         assert final.get(addr) == value
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_indexed_xi_queries_match_queue_scans(seed):
+    """``xi_compare`` and ``holds_tx_line`` answer from the block index;
+    over random store / drain / TBEGIN / TEND / abort sequences they must
+    agree with the whole-queue answers (``tx_lines`` and
+    ``active_lines``) on every line, including lines never stored to."""
+    rng = random.Random(seed)
+    line_size = 2 * BLOCK_SIZE
+    lines = [0x4000 + i * line_size for i in range(6)]
+    probe_lines = lines + [lines[-1] + line_size]
+    cache = GatheringStoreCache(entries=6, drain_threshold=2)
+    in_tx = False
+    for _ in range(1500):
+        op = rng.random()
+        if op < 0.55:
+            addr = rng.choice(lines) + rng.randrange(line_size)
+            data = bytes(rng.randrange(1, 24))
+            try:
+                cache.store(addr, data, tx=in_tx,
+                            ntstg=in_tx and rng.random() < 0.2)
+            except StoreCacheOverflow:
+                cache.abort_transaction()
+                in_tx = False
+        elif op < 0.65:
+            cache.drain_line(rng.choice(lines))
+        elif op < 0.70:
+            cache.drain_all()
+        elif op < 0.80 and not in_tx:
+            cache.begin_transaction()
+            in_tx = True
+        elif op < 0.90 and in_tx:
+            cache.end_transaction()
+            in_tx = False
+        elif in_tx:
+            cache.abort_transaction()
+            in_tx = False
+        cache.take_drained()
+        tx_lines = cache.tx_lines()
+        active = cache.active_lines()
+        for line in probe_lines:
+            assert cache.holds_tx_line(line) == (line in tx_lines)
+            want = ("reject" if line in tx_lines
+                    else "drain" if line in active else "clear")
+            assert cache.xi_compare(line) == want
