@@ -1,14 +1,12 @@
 """End-to-end throughput benchmark for the sweep service (repro.serve).
 
-Measures what the scale-out fabric is for: points/second served under
+Measures what the one-host service is for: points/second served under
 realistic traffic shapes, each scenario against a freshly started
 service subprocess with its own store directory:
 
 * **cold vs warm** — the same sweep twice; the second run is served
   entirely from the content-addressed store.
 * **local workers 1 vs N** — executor-lane scaling on one machine.
-* **worker agents** — remote-worker path: local executor off, N agent
-  subprocesses leasing batches over the socket.
 * **duplicate storm** — ``--clients`` concurrent clients (default 8)
   all submitting the identical sweep; single-flight dedupe must compute
   each unique point exactly once (asserted from service stats).
@@ -52,8 +50,8 @@ FAILURES = []
 
 @contextmanager
 def service(tmp: str, store: str, local_workers: int, batch: int = 4,
-            threads: bool = False, agents: int = 0):
-    """A sweep-service subprocess (plus optional worker agents)."""
+            threads: bool = False):
+    """A sweep-service subprocess."""
     address = f"unix:{tmp}/svc-{store}.sock"
     store_root = os.path.join(tmp, store)
     argv = [sys.executable, "-m", "repro.serve", "serve",
@@ -65,25 +63,8 @@ def service(tmp: str, store: str, local_workers: int, batch: int = 4,
     env["PYTHONPATH"] = (os.path.join(os.path.dirname(__file__), "..", "src")
                          + os.pathsep + env.get("PYTHONPATH", ""))
     proc = subprocess.Popen(argv, env=env)
-    agent_procs = []
     try:
         wait_ready(address, timeout=60)
-        for i in range(agents):
-            agent_procs.append(subprocess.Popen(
-                [sys.executable, "-m", "repro.serve", "worker",
-                 "--connect", address, "--name", f"agent-{i}"],
-                env=env))
-        if agents:
-            # Measure lease throughput, not interpreter startup: wait
-            # until every agent has been admitted.
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline:
-                with SweepClient(address, timeout=10) as client:
-                    connected = client.stats()["service"][
-                        "workers_connected"]
-                if connected >= agents:
-                    break
-                time.sleep(0.05)
         yield address
     finally:
         try:
@@ -92,8 +73,6 @@ def service(tmp: str, store: str, local_workers: int, batch: int = 4,
         except Exception:
             proc.terminate()
         proc.wait(timeout=30)
-        for agent in agent_procs:
-            agent.wait(timeout=30)
 
 
 def sweep_tasks(quick: bool):
@@ -138,8 +117,8 @@ def main() -> int:
                         help="concurrent clients in the duplicate storm "
                              "(default: 8)")
     parser.add_argument("--workers", type=int, default=4, metavar="N",
-                        help="local workers / agents in the scaling "
-                             "scenarios (default: 4)")
+                        help="local workers in the scaling scenarios "
+                             "(default: 4)")
     parser.add_argument("--threads", action="store_true",
                         help="thread executor in the service (fast start; "
                              "processes are the honest default)")
@@ -158,7 +137,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="repro-bench-serve-") as tmp:
         # The scaling scenarios can only beat 1 lane when the host has
         # cores to scale onto; on a 1-core box they instead measure that
-        # the fabric adds no overhead per extra lane.
+        # the service adds no overhead per extra lane.
         print(f"sweep: {n_points} update points "
               f"({'quick' if args.quick else 'full'} grid), "
               f"host has {os.cpu_count()} cpus")
@@ -191,17 +170,6 @@ def main() -> int:
             row(f"local workers: {args.workers}",
                 timed_sweep(address, tasks), n_points,
                 "fresh store, batch 1, warmed lanes")
-
-        # -- remote worker agents --------------------------------------
-        with service(tmp, "agents", 0, batch=1,
-                     agents=args.workers) as address:
-            row(f"worker agents: {args.workers}",
-                timed_sweep(address, tasks), n_points,
-                "local executor off; leases over the socket")
-            stats = stats_of(address)
-            leases = stats["service"]["leases"]
-            print(f"    ({leases} leases, "
-                  f"{stats['service']['workers_seen']} agents admitted)")
 
         # -- duplicate storm -------------------------------------------
         with service(tmp, "storm", args.workers,

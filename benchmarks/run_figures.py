@@ -100,8 +100,7 @@ def main() -> int:
     grid = QUICK_CPU_GRID if args.quick else DEFAULT_CPU_GRID
     iters = 15 if args.quick else 25
     workers = max(1, args.workers)
-    cache = (None if args.no_cache
-             else ResultStore(default_cache_root(), remote_root=""))
+    cache = None if args.no_cache else ResultStore(default_cache_root())
     use_metrics = args.metrics
 
     client = None

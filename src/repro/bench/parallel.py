@@ -28,9 +28,9 @@ vacation   :class:`~repro.workloads.stamp.VacationExperiment` ``SimResult``
 kmeans     :class:`~repro.workloads.stamp.KmeansExperiment`   ``SimResult``
 ========== ============================================ =================
 
-The same tasks, keys and store drive the scale-out sweep service in
-:mod:`repro.serve`, which fans tasks out across worker processes and
-machines — still bit-identical to a serial :func:`run_tasks` run.
+The same tasks, keys and store drive the sweep service in
+:mod:`repro.serve`, which serves them to concurrent clients from local
+executor lanes — still bit-identical to a serial :func:`run_tasks` run.
 """
 
 from __future__ import annotations
@@ -146,9 +146,8 @@ def set_code_version(version: str) -> None:
     """Seed the per-process code-version cache.
 
     The parent computes :func:`code_version` once and passes it to every
-    spawned worker process (pool initializer) and worker agent
-    (``$REPRO_CODE_VERSION``), so short sweeps never pay for re-hashing
-    the whole ``repro`` package in each child.
+    pool worker process as the pool initializer, so short sweeps never
+    pay for re-hashing the whole ``repro`` package in each child.
     """
     global _CODE_VERSION
     _CODE_VERSION = version
@@ -159,16 +158,12 @@ def code_version() -> str:
 
     Any edit to the simulator changes the version and therefore every
     cache key, so a stale cache can never leak results from old code.
-    A value seeded by :func:`set_code_version` or ``$REPRO_CODE_VERSION``
-    short-circuits the package hash (trusted: the parent that exported
-    it computed it from the same sources it shipped us).
+    A value seeded by :func:`set_code_version` short-circuits the
+    package hash (trusted: the parent that seeded it computed it from
+    the same sources).
     """
     global _CODE_VERSION
     if _CODE_VERSION is None:
-        seeded = os.environ.get("REPRO_CODE_VERSION")
-        if seeded:
-            _CODE_VERSION = seeded
-            return _CODE_VERSION
         package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         digest = hashlib.sha256()
         for dirpath, dirnames, filenames in sorted(os.walk(package_root)):

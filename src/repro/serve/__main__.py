@@ -3,9 +3,7 @@
 Commands::
 
     serve     --listen ADDR [--local-workers N] [--batch N]
-              [--store DIR | --no-store] [--memory-entries N]
-              [--remote DIR] [--threads]
-    worker    --connect ADDR [--name S] [--batch N] [--max-leases N]
+              [--store DIR | --no-store] [--memory-entries N] [--threads]
     ping      --connect ADDR [--wait SECONDS]
     stats     --connect ADDR
     shutdown  --connect ADDR
@@ -26,7 +24,6 @@ from ..bench.parallel import default_cache_root
 from .client import ServiceError, SweepClient, wait_ready
 from .service import run_service
 from .store import ResultStore
-from .worker import WorkerAgent, WorkerRejected
 
 
 def main(argv=None) -> int:
@@ -36,7 +33,8 @@ def main(argv=None) -> int:
     serve = commands.add_parser("serve", help="run the sweep service")
     serve.add_argument("--listen", default="127.0.0.1:8637", metavar="ADDR")
     serve.add_argument("--local-workers", type=int, default=1, metavar="N",
-                       help="local executor slots (0: remote workers only)")
+                       help="local executor lanes (0: admit and queue "
+                            "requests, compute nothing)")
     serve.add_argument("--batch", type=int, default=4, metavar="N",
                        help="max tasks per dispatch batch")
     serve.add_argument("--store", default=None, metavar="DIR",
@@ -45,17 +43,8 @@ def main(argv=None) -> int:
                        help="memory-only store (no disk tier)")
     serve.add_argument("--memory-entries", type=int, default=4096,
                        metavar="N")
-    serve.add_argument("--remote", default=None, metavar="DIR",
-                       help="shared-directory tier (default: "
-                            "$REPRO_BENCH_CACHE_REMOTE)")
     serve.add_argument("--threads", action="store_true",
                        help="thread executor instead of processes")
-
-    worker = commands.add_parser("worker", help="run a worker agent")
-    worker.add_argument("--connect", required=True, metavar="ADDR")
-    worker.add_argument("--name", default=None)
-    worker.add_argument("--batch", type=int, default=4, metavar="N")
-    worker.add_argument("--max-leases", type=int, default=None, metavar="N")
 
     for name, help_text in (("ping", "readiness probe"),
                             ("stats", "print service+store counters"),
@@ -71,22 +60,10 @@ def main(argv=None) -> int:
 
     if args.command == "serve":
         root = None if args.no_store else (args.store or default_cache_root())
-        store = ResultStore(root=root, memory_entries=args.memory_entries,
-                            remote_root=args.remote)
+        store = ResultStore(root=root, memory_entries=args.memory_entries)
         run_service(args.listen, store=store,
                     local_workers=args.local_workers,
                     batch_size=args.batch, use_threads=args.threads)
-        return 0
-
-    if args.command == "worker":
-        agent = WorkerAgent(args.connect, name=args.name, batch=args.batch)
-        try:
-            jobs = agent.run(max_leases=args.max_leases)
-        except WorkerRejected as exc:
-            print(f"rejected by service: {exc}", file=sys.stderr)
-            return 1
-        print(f"worker {agent.name}: {jobs} jobs in "
-              f"{agent.leases_served} leases")
         return 0
 
     try:

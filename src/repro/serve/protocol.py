@@ -1,13 +1,7 @@
 """Wire protocol for the sweep service: newline-delimited JSON, stdlib only.
 
 Every message is one JSON object on one line (``\\n``-terminated, UTF-8).
-The first message on a connection declares the peer's role:
-
-* clients open with ``sweep``/``stats``/``ping``/``shutdown`` requests;
-* a worker agent opens with ``worker-hello`` and then speaks the
-  lease/result sub-protocol.
-
-Client-facing messages::
+A client speaks::
 
     -> {"type": "sweep", "id": R, "params": {...}, "metrics": M,
         "tasks": [{"kind": K, "experiment": {...}}, ...]}
@@ -20,17 +14,6 @@ Client-facing messages::
     -> {"type": "shutdown"}   <- {"type": "bye"}
     <- {"type": "error", "id": R?, "error": "..."}
 
-Worker-facing messages::
-
-    -> {"type": "worker-hello", "name": W, "code_version": V, "batch": B}
-    <- {"type": "welcome", "batch": B}       (or {"type": "reject", ...})
-    <- {"type": "lease", "lease": L, "jobs": [JOB, ...]}
-    -> {"type": "result", "lease": L, "payloads": [{...}, ...]}
-
-where ``JOB`` is ``{"kind": K, "experiment": {...}, "params": {...},
-"metrics": M}`` — exactly the tuple :func:`repro.bench.parallel._run_task`
-consumes, in wire form.
-
 Streamed ``point`` messages arrive in *landing* order; the client merges
 them back into submission order by ``index``, which is what keeps
 service-path output bit-identical to a serial ``run_tasks`` run.
@@ -42,7 +25,7 @@ import asyncio
 import json
 import socket
 from dataclasses import asdict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..bench.figures import UpdateExperiment
 from ..bench.parallel import FootprintTask, Task
@@ -130,20 +113,6 @@ def params_from_wire(wire: Dict[str, Any]) -> MachineParams:
         raise ProtocolError(f"bad machine params: {exc}") from exc
 
 
-def job_to_wire(kind: str, experiment: Any, params: MachineParams,
-                metrics: Any) -> Dict[str, Any]:
-    """One executable job — what a lease carries and a worker runs."""
-    wire = task_to_wire((kind, experiment))
-    wire["params"] = params_to_wire(params)
-    wire["metrics"] = metrics
-    return wire
-
-
-def job_from_wire(wire: Dict[str, Any]) -> Tuple[str, Any, MachineParams, Any]:
-    kind, experiment = task_from_wire(wire)
-    return kind, experiment, params_from_wire(wire["params"]), wire["metrics"]
-
-
 # ----------------------------------------------------------------------
 # framing
 # ----------------------------------------------------------------------
@@ -192,7 +161,7 @@ async def write_message(writer: asyncio.StreamWriter,
 
 
 # ----------------------------------------------------------------------
-# synchronous peers (client, worker agent)
+# synchronous peer (client)
 # ----------------------------------------------------------------------
 
 

@@ -13,15 +13,15 @@ request is admitted point by point:
 3. otherwise a new inflight entry joins the pending queue.
 
 Pending entries are dispatched in batches (``batch_size``) to whichever
-execution lane frees up first: local executor slots (processes by
-default, threads for in-process tests) or connected worker agents.
-Workers lease batches over the wire and are admitted only when their
-``code_version`` matches the service's, so stale code can never serve a
-result; a worker that dies mid-lease has its tasks requeued at the front
-of the queue. Results are written back to the store and streamed to
-every waiter as ``point`` messages; clients reassemble submission order
-from the ``index`` field, which keeps the service path bit-identical to
-a serial ``run_tasks`` run.
+local executor lane frees up first (processes by default, threads for
+in-process tests). A lane runs each job with the same
+:func:`repro.bench.parallel._run_task` that :func:`run_tasks` uses.
+Results are written back to the store and streamed to every waiter as
+``point`` messages; clients reassemble submission order from the
+``index`` field, which keeps the service path bit-identical to a serial
+``run_tasks`` run. With ``local_workers=0`` the service has no lanes: it
+admits, dedupes and queues requests but computes nothing, which is how
+the tests pin admission and cancellation without a race.
 
 Cancellation (``cancel`` message or client disconnect) detaches a
 request's waiters; pending entries nobody waits for are dropped at the
@@ -36,24 +36,36 @@ from collections import deque
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..bench.parallel import code_version, task_key
+from ..bench.parallel import (
+    _run_task,
+    code_version,
+    set_code_version,
+    task_key,
+)
 from . import protocol
 from .protocol import ProtocolError, read_message
 from .store import ResultStore
-from .worker import _init_worker_process, run_wire_jobs
 
-PENDING, RUNNING, DONE = "pending", "running", "done"
+#: ``(kind, experiment, params, metrics)``, what ``_run_task`` consumes.
+Job = Tuple[str, Any, Any, Any]
+
+
+def _run_jobs(jobs: List[Job]) -> List[Dict[str, Any]]:
+    """One lane dispatch: run a batch of jobs in order.
+
+    Module-level so it pickles to a process lane.
+    """
+    return [_run_task(job) for job in jobs]
 
 
 class _Inflight:
     """One unique computation: a task key, its job, and its waiters."""
 
-    __slots__ = ("key", "job", "state", "waiters")
+    __slots__ = ("key", "job", "waiters")
 
-    def __init__(self, key: str, job: Dict[str, Any]) -> None:
+    def __init__(self, key: str, job: Job) -> None:
         self.key = key
         self.job = job
-        self.state = PENDING
         #: ``(request, index, source)`` triples to stream the result to.
         self.waiters: List[Tuple["_Request", int, str]] = []
 
@@ -86,20 +98,10 @@ class _ClientConn:
                 pass  # client went away; its requests get cancelled on EOF
 
 
-class _Worker:
-    """A connected worker agent."""
-
-    def __init__(self, name: str, batch: int) -> None:
-        self.name = name
-        self.batch = batch
-        self.current: List[_Inflight] = []
-
-
 #: Service counters exposed by the ``stats`` message.
 _COUNTERS = (
     "requests", "points_requested", "store_served", "coalesced",
-    "computed", "failed", "leases", "requeues", "dropped", "cancelled",
-    "version_rejects", "workers_seen",
+    "computed", "failed", "dropped", "cancelled",
 )
 
 
@@ -119,7 +121,6 @@ class SweepService:
         self.use_threads = use_threads
         self.code_version = code_version()
         self.counters: Dict[str, int] = {name: 0 for name in _COUNTERS}
-        self.workers: Dict[str, _Worker] = {}
         self._pending: "deque[_Inflight]" = deque()
         self._inflight: Dict[str, _Inflight] = {}
         self._have_pending: Optional[asyncio.Event] = None
@@ -127,7 +128,6 @@ class SweepService:
         self._server: Optional[asyncio.AbstractServer] = None
         self._slots: List[asyncio.Task] = []
         self._closed: Optional[asyncio.Event] = None
-        self._worker_seq = 0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -144,7 +144,7 @@ class SweepService:
             else:
                 self._executor = ProcessPoolExecutor(
                     max_workers=self.local_workers,
-                    initializer=_init_worker_process,
+                    initializer=set_code_version,
                     initargs=(self.code_version,),
                 )
             self._slots = [
@@ -183,7 +183,10 @@ class SweepService:
         if self._slots:
             await asyncio.gather(*self._slots, return_exceptions=True)
         if self._executor is not None:
-            self._executor.shutdown(wait=False)
+            # Wait (at most one in-flight batch per lane): a process pool
+            # still shutting down races the interpreter's exit hook, which
+            # then writes to the pool's closed wake-up pipe (EBADF).
+            self._executor.shutdown(wait=True, cancel_futures=True)
 
     # ------------------------------------------------------------------
     # admission
@@ -202,8 +205,7 @@ class SweepService:
             self.counters["coalesced"] += 1
             inflight.waiters.append((request, index, "coalesced"))
             return
-        inflight = _Inflight(
-            key, protocol.job_to_wire(kind, experiment, params, metrics))
+        inflight = _Inflight(key, (kind, experiment, params, metrics))
         inflight.waiters.append((request, index, "computed"))
         self._inflight[key] = inflight
         self._pending.append(inflight)
@@ -236,9 +238,6 @@ class SweepService:
             request.conn.requests.pop(request.rid, None)
 
     def _resolve(self, inflight: _Inflight, payload: Dict[str, Any]) -> None:
-        if inflight.state == DONE:
-            return
-        inflight.state = DONE
         self._inflight.pop(inflight.key, None)
         self.counters["computed"] += 1
         self.store.put(inflight.key, payload)
@@ -247,9 +246,6 @@ class SweepService:
         inflight.waiters = []
 
     def _fail(self, inflight: _Inflight, error: str) -> None:
-        if inflight.state == DONE:
-            return
-        inflight.state = DONE
         self._inflight.pop(inflight.key, None)
         self.counters["failed"] += 1
         for request, index, _source in inflight.waiters:
@@ -277,48 +273,32 @@ class SweepService:
     # dispatch
     # ------------------------------------------------------------------
 
-    async def _take_batch(self, limit: int) -> List[_Inflight]:
+    async def _take_batch(self) -> List[_Inflight]:
         """Next batch of still-wanted pending computations (blocks)."""
         while True:
             await self._have_pending.wait()
             batch: List[_Inflight] = []
-            while self._pending and len(batch) < limit:
+            while self._pending and len(batch) < self.batch_size:
                 inflight = self._pending.popleft()
-                if inflight.state != PENDING:
-                    continue
                 if not inflight.waiters:
                     # Everyone cancelled before it started: drop it.
-                    inflight.state = DONE
                     self._inflight.pop(inflight.key, None)
                     self.counters["dropped"] += 1
                     continue
-                inflight.state = RUNNING
                 batch.append(inflight)
             if not self._pending:
                 self._have_pending.clear()
             if batch:
                 return batch
 
-    def _requeue(self, batch: List[_Inflight]) -> None:
-        """Put died-worker leases back at the front, original order."""
-        for inflight in reversed(batch):
-            if inflight.state == RUNNING:
-                inflight.state = PENDING
-                self._pending.appendleft(inflight)
-                self.counters["requeues"] += 1
-        self._have_pending.set()
-
     async def _local_slot(self) -> None:
         loop = asyncio.get_event_loop()
         while True:
-            batch = await self._take_batch(self.batch_size)
+            batch = await self._take_batch()
             jobs = [inflight.job for inflight in batch]
             try:
                 payloads = await loop.run_in_executor(
-                    self._executor, run_wire_jobs, jobs)
-            except asyncio.CancelledError:
-                self._requeue(batch)
-                raise
+                    self._executor, _run_jobs, jobs)
             except Exception as exc:  # noqa: BLE001 — reported to waiters
                 for inflight in batch:
                     self._fail(inflight, repr(exc))
@@ -335,9 +315,6 @@ class SweepService:
         try:
             message = await read_message(reader)
             if message is None:
-                return
-            if message.get("type") == "worker-hello":
-                await self._worker_loop(reader, writer, message)
                 return
             await self._client_loop(reader, writer, message)
         except asyncio.CancelledError:
@@ -408,71 +385,12 @@ class SweepService:
         for index, (kind, experiment) in enumerate(tasks):
             self._admit(request, index, kind, experiment, params, metrics)
 
-    async def _worker_loop(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter,
-                           hello: Dict[str, Any]) -> None:
-        version = hello.get("code_version")
-        if version != self.code_version:
-            self.counters["version_rejects"] += 1
-            await protocol.write_message(writer, {
-                "type": "reject",
-                "reason": "code-version-mismatch",
-                "expected": self.code_version,
-                "got": version,
-            })
-            return
-        self._worker_seq += 1
-        name = hello.get("name") or f"worker-{self._worker_seq}"
-        batch = min(self.batch_size, int(hello.get("batch") or
-                                         self.batch_size))
-        worker = _Worker(name, max(1, batch))
-        self.workers[name] = worker
-        self.counters["workers_seen"] += 1
-        await protocol.write_message(
-            writer, {"type": "welcome", "batch": worker.batch})
-        lease_seq = 0
-        try:
-            while True:
-                worker.current = await self._take_batch(worker.batch)
-                lease_seq += 1
-                try:
-                    await protocol.write_message(writer, {
-                        "type": "lease",
-                        "lease": lease_seq,
-                        "jobs": [inflight.job
-                                 for inflight in worker.current],
-                    })
-                    reply = await read_message(reader)
-                except (ConnectionError, asyncio.CancelledError):
-                    reply = None
-                if reply is None:
-                    return  # finally-block requeues the lease
-                if (reply.get("type") != "result"
-                        or reply.get("lease") != lease_seq):
-                    raise ProtocolError(
-                        f"worker {name}: expected result for lease "
-                        f"{lease_seq}, got {reply.get('type')!r}")
-                payloads = reply.get("payloads") or []
-                if len(payloads) != len(worker.current):
-                    raise ProtocolError(
-                        f"worker {name}: {len(payloads)} payloads for "
-                        f"{len(worker.current)} leased jobs")
-                self.counters["leases"] += 1
-                for inflight, payload in zip(worker.current, payloads):
-                    self._resolve(inflight, payload)
-                worker.current = []
-        finally:
-            self._requeue(worker.current)
-            worker.current = []
-            self.workers.pop(name, None)
-
     def _stats_message(self) -> Dict[str, Any]:
         return {
             "type": "stats",
             "service": {
                 **self.counters,
                 "code_version": self.code_version,
-                "workers_connected": len(self.workers),
                 "inflight": len(self._inflight),
                 "pending": len(self._pending),
                 "local_workers": self.local_workers,

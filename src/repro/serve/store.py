@@ -1,4 +1,4 @@
-"""Content-addressed result store with read-through/write-back tiering.
+"""Content-addressed result store: a memory tier over a disk tier.
 
 The address of a payload is its :func:`repro.bench.parallel.task_key` —
 a hash covering the experiment, the machine parameters, and the source
@@ -6,7 +6,7 @@ of the whole ``repro`` package — so a key can never name two different
 results and entries never need invalidation: editing the simulator
 changes every address.
 
-Three tiers, fastest first:
+Two tiers, fastest first:
 
 ``memory``
     A bounded in-process LRU of deserialised payloads.
@@ -14,20 +14,15 @@ Three tiers, fastest first:
     One JSON file per key under a local directory. Writes are atomic
     (unique tmp file + ``os.replace``) and torn or corrupt entries read
     as misses, so a concurrent writer can never poison a sweep.
-``remote``
-    An optional shared directory (e.g. a network mount given via
-    ``$REPRO_BENCH_CACHE_REMOTE``) with the same layout, letting many
-    machines share one result population.
 
 It is the one result cache: :func:`repro.bench.parallel.run_tasks`
 takes a store too, and ``benchmarks/run_figures.py`` caches through a
 memory + disk store.
 
-``get`` reads through the tiers in order and promotes hits into every
-faster tier; ``put`` writes back to every configured tier. All
-operations keep per-tier hit/miss counters plus write/corruption
-counters, surfaced by :meth:`ResultStore.stats` and the service's
-``stats`` protocol message.
+``get`` reads memory, then disk, and promotes a disk hit into memory;
+``put`` writes both tiers. All operations keep per-tier hit/miss
+counters plus write/corruption counters, surfaced by
+:meth:`ResultStore.stats` and the service's ``stats`` protocol message.
 """
 
 from __future__ import annotations
@@ -87,8 +82,7 @@ class StoreStats:
     """Mutable counters for one :class:`ResultStore` (thread-safe)."""
 
     FIELDS = (
-        "memory_hits", "disk_hits", "remote_hits", "misses",
-        "puts", "promotions", "corrupt_entries", "remote_errors",
+        "memory_hits", "disk_hits", "misses", "puts", "corrupt_entries",
     )
 
     def __init__(self) -> None:
@@ -107,11 +101,11 @@ class StoreStats:
     @property
     def hits(self) -> int:
         with self._lock:
-            return self.memory_hits + self.disk_hits + self.remote_hits
+            return self.memory_hits + self.disk_hits
 
 
 class ResultStore:
-    """Tiered content-addressed payload store.
+    """Two-tier content-addressed payload store.
 
     Parameters
     ----------
@@ -119,21 +113,14 @@ class ResultStore:
         Local on-disk tier directory, or ``None`` for memory-only.
     memory_entries:
         LRU capacity of the in-memory tier; ``0`` disables it.
-    remote_root:
-        Shared-directory tier. Defaults to ``$REPRO_BENCH_CACHE_REMOTE``
-        when unset; pass ``""`` to force it off.
     """
 
     def __init__(
         self,
         root: Optional[str] = None,
         memory_entries: int = 4096,
-        remote_root: Optional[str] = None,
     ) -> None:
         self.root = root
-        if remote_root is None:
-            remote_root = os.environ.get("REPRO_BENCH_CACHE_REMOTE", "")
-        self.remote_root = remote_root or None
         self.memory_entries = max(0, memory_entries)
         self._memory: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._lock = threading.Lock()
@@ -144,10 +131,6 @@ class ResultStore:
     def _disk_path(self, key: str) -> str:
         assert self.root is not None
         return os.path.join(self.root, key + ".json")
-
-    def _remote_path(self, key: str) -> str:
-        assert self.remote_root is not None
-        return os.path.join(self.remote_root, key + ".json")
 
     def _memory_get(self, key: str) -> Optional[Dict[str, Any]]:
         with self._lock:
@@ -175,7 +158,7 @@ class ResultStore:
     # -- public API -----------------------------------------------------
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """Read through the tiers, promoting a hit into faster ones."""
+        """Read memory, then disk; a disk hit is promoted into memory."""
         payload = self._memory_get(key)
         if payload is not None:
             self.stats.bump("memory_hits")
@@ -186,31 +169,15 @@ class ResultStore:
                 self.stats.bump("disk_hits")
                 self._memory_put(key, payload)
                 return payload
-        if self.remote_root is not None:
-            payload = read_json_payload(self._remote_path(key))
-            if payload is not None:
-                self.stats.bump("remote_hits")
-                self.stats.bump("promotions")
-                self._memory_put(key, payload)
-                if self.root is not None:
-                    atomic_write_json(self._disk_path(key), payload)
-                return payload
         self.stats.bump("misses")
         return None
 
     def put(self, key: str, payload: Dict[str, Any]) -> None:
-        """Write back to every configured tier."""
+        """Write to both tiers."""
         self.stats.bump("puts")
         self._memory_put(key, payload)
         if self.root is not None:
             atomic_write_json(self._disk_path(key), payload)
-        if self.remote_root is not None:
-            # The remote tier is best-effort: a full or unreachable share
-            # must not fail the sweep that computed the result.
-            try:
-                atomic_write_json(self._remote_path(key), payload)
-            except OSError:
-                self.stats.bump("remote_errors")
 
     def __contains__(self, key: str) -> bool:
         return self.get(key) is not None
@@ -221,7 +188,6 @@ class ResultStore:
             memory_len = len(self._memory)
         return {
             "root": self.root,
-            "remote_root": self.remote_root,
             "memory_entries": self.memory_entries,
             "memory_used": memory_len,
             **self.stats.snapshot(),

@@ -224,8 +224,7 @@ class TestCacheKey:
         assert task_key("update", self.EXPERIMENT, ZEC12) != before
 
     def test_flipping_metrics_misses_cache(self, tmp_path):
-        cache = ResultStore(str(tmp_path), memory_entries=0,
-                            remote_root="")
+        cache = ResultStore(str(tmp_path), memory_entries=0)
         tasks = [("update", self.EXPERIMENT)]
         run_tasks(tasks, cache=cache, metrics=False)
         files_off = set(tmp_path.glob("*.json"))

@@ -78,7 +78,7 @@ class TestSerialVsParallel:
 
 def _disk_store(path):
     """A disk-only store: every ``get`` reads the entry's JSON file."""
-    return ResultStore(str(path), memory_entries=0, remote_root="")
+    return ResultStore(str(path), memory_entries=0)
 
 
 class TestCache:

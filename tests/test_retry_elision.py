@@ -15,9 +15,7 @@ contract. The tests pin that contract from several angles:
 * pinned bit-identity on coarse/fine/rwlock 48-CPU points: each runs
   once elided, once on the unelided reference machine
   (``Machine(spin_elide=False)``) and once through the parallel runner,
-  pinning the results and each mode's ``SimResult.sched`` counters
-  (the test ids keep the ``cal``/``heap`` labels of the retired event
-  queues; every id of one elision mode checks the same shared run);
+  pinning the results and each mode's ``SimResult.sched`` counters;
 * cycle budgets that stop the coarse point mid-chain, against the
   non-elided reference;
 * ``REPRO_CHECK=1`` differential replay on the coarse and rwlock points,
@@ -52,13 +50,6 @@ from repro.params import ZEC12
 from repro.sim.machine import Machine
 from repro.sim.scheduler import Scheduler
 from repro.verify.jitter import ScheduleJitter
-
-#: The labels of the retired scheduler matrix: spin/retry elision on or
-#: off x calendar or bare-heap event queue. Only the elision label still
-#: selects a mode; both queue labels name the one heap drain.
-MODES = [(elide, queue) for elide in (True, False) for queue in ("cal", "heap")]
-MODE_IDS = [f"{'elide' if e else 'plain'}-{q}" for e, q in MODES]
-
 
 class TestPpaBackoffIdentity:
     @pytest.mark.parametrize("count", [0, 1, 6, 7, 100])
@@ -228,8 +219,8 @@ class TestDeadlockDiagnostic:
 class TestPinnedBitIdentity:
     @pytest.mark.parametrize("experiment,pinned", PINNED_48CPU,
                              ids=PINNED_IDS)
-    @pytest.mark.parametrize("elide,queue", MODES, ids=MODE_IDS)
-    def test_serial(self, experiment, pinned, elide, queue):
+    @pytest.mark.parametrize("elide", [True, False], ids=["elide", "plain"])
+    def test_serial(self, experiment, pinned, elide):
         result = pinned_run(experiment, spin_elide=elide)
         assert pinned_summary(result) == pinned
         assert pinned_sched(result) == PINNED_SCHED[
@@ -238,9 +229,7 @@ class TestPinnedBitIdentity:
         if not elide:
             assert result.sched["retry_parks"] == 0
 
-    @pytest.mark.parametrize("queue", ["cal", "heap"],
-                             ids=["elide-cal", "elide-heap"])
-    def test_parallel(self, queue):
+    def test_parallel(self):
         # The sched counters must survive the trip back from the worker.
         results = pinned_parallel_run()
         assert [pinned_summary(r) for r in results] == [
@@ -259,6 +248,16 @@ class TestPinnedBitIdentity:
         assert sched["retry_wakes"] == sched["retry_parks"]
         assert sched["retry_ticks"] > 0
         assert sched["events"] > 0
+
+    def test_virtual_advance_engages_on_coarse_point(self):
+        # Guards the pins against vacuity: on the contended point,
+        # parked spinners must advance by scheduler ticks rather than
+        # executed instructions, and every parked chain must be woken
+        # before the run ends.
+        experiment, pinned = PINNED_48CPU[0]
+        sched = pinned_run(experiment).sched
+        assert sched["parks"] == sched["wakes"] > 0
+        assert 0 < sched["spin_steps"] < pinned[1]
 
 
 class TestCycleBudgetBoundary:

@@ -1,12 +1,12 @@
-"""Tests for the scale-out sweep fabric (:mod:`repro.serve`).
+"""Tests for the sweep service (:mod:`repro.serve`).
 
 The contract under test is the same one the whole bench stack rests on:
-**serial == parallel == remote, bit-identical payloads**. Concurrency
+**serial == parallel == service, bit-identical payloads**. Concurrency
 here is real — services run on a background event-loop thread, clients
-are OS threads, workers speak the wire protocol over sockets — and the
+are OS threads speaking the wire protocol over sockets — and the
 assertions are exact: each unique task key computed exactly once no
-matter how many clients race, every client's stream equal to a serial
-``run_tasks`` run, died workers requeued without duplicate results.
+matter how many clients race, and every client's stream equal to a
+serial ``run_tasks`` run on thread and process lanes alike.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.bench.parallel import (
     result_to_payload,
     run_tasks,
     set_code_version,
-    task_key,
 )
 from repro.params import ZEC12
 from repro.serve import protocol
@@ -32,7 +31,6 @@ from repro.serve.client import ServiceError, SweepClient, wait_ready
 from repro.serve.protocol import ProtocolError
 from repro.serve.service import ServiceThread
 from repro.serve.store import ResultStore, atomic_write_json
-from repro.serve.worker import WorkerAgent, WorkerRejected
 from repro.workloads.hashtable import HashtableExperiment
 from repro.workloads.stamp import VacationExperiment
 
@@ -103,27 +101,6 @@ class TestResultStore:
         assert store.get("a") is not None
         assert store.get("b") is None
 
-    def test_remote_tier_read_through_promotes(self, tmp_path):
-        local = tmp_path / "local"
-        remote = tmp_path / "remote"
-        producer = ResultStore(root=None, memory_entries=0,
-                               remote_root=str(remote))
-        producer.put("k", self.PAYLOAD)
-        consumer = ResultStore(root=str(local), remote_root=str(remote))
-        assert consumer.get("k") == self.PAYLOAD
-        assert consumer.stats.remote_hits == 1
-        assert consumer.stats.promotions == 1
-        # Promoted into the local disk tier: a remote-less reader now hits.
-        assert ResultStore(root=str(local),
-                           remote_root="").get("k") == self.PAYLOAD
-
-    def test_remote_tier_from_environment(self, tmp_path, monkeypatch):
-        remote = tmp_path / "shared"
-        monkeypatch.setenv("REPRO_BENCH_CACHE_REMOTE", str(remote))
-        ResultStore(root=None).put("k", self.PAYLOAD)
-        assert ResultStore(root=None, memory_entries=0).get("k") \
-            == self.PAYLOAD
-
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         store = ResultStore(root=str(tmp_path), memory_entries=0)
         store.put("k", self.PAYLOAD)
@@ -163,7 +140,7 @@ class TestDiskTierHardening:
 
     @staticmethod
     def _store(path):
-        return ResultStore(str(path), memory_entries=0, remote_root="")
+        return ResultStore(str(path), memory_entries=0)
 
     def test_put_is_atomic_and_unique_tmp(self, tmp_path):
         cache = self._store(tmp_path)
@@ -199,14 +176,6 @@ class TestProtocol:
         assert protocol.params_from_wire(
             protocol.params_to_wire(ZEC12)) == ZEC12
 
-    def test_job_round_trip_preserves_key(self):
-        kind, experiment = SWEEP[0]
-        wire = protocol.job_to_wire(kind, experiment, ZEC12, False)
-        wire = json.loads(json.dumps(wire))  # through the wire
-        kind2, experiment2, params2, metrics2 = protocol.job_from_wire(wire)
-        assert task_key(kind, experiment, ZEC12) \
-            == task_key(kind2, experiment2, params2, metrics=metrics2)
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ProtocolError):
             protocol.task_from_wire({"kind": "bogus", "experiment": {}})
@@ -235,6 +204,14 @@ class TestServiceDeterminism:
         expected = canonical(serial_payloads(SWEEP))
         with SweepClient(host.address) as client:
             assert canonical(client.run_payloads(SWEEP)) == expected
+
+    def test_process_lane_bit_identical_to_serial(self):
+        # Every other service test runs thread lanes; this one sends the
+        # pickled job tuples to a ProcessPoolExecutor lane.
+        expected = canonical(serial_payloads(SWEEP))
+        with ServiceThread(use_threads=False, local_workers=1) as host:
+            with SweepClient(host.address) as client:
+                assert canonical(client.run_payloads(SWEEP)) == expected
 
     def test_store_round_trip_stays_identical(self, host):
         expected = canonical(serial_payloads(SWEEP))
@@ -383,6 +360,10 @@ class TestServiceDeterminism:
 
 
 class TestCancellation:
+    """``local_workers=0`` gives an admission-only service: requests are
+    admitted and queued but never computed, so cancellation is tested
+    without racing a lane."""
+
     def test_cancel_unblocks_and_drops_pending(self):
         # No execution lanes at all: everything stays pending forever,
         # so cancel is the only way the request ends.
@@ -414,8 +395,8 @@ class TestCancellation:
                 "tasks": [protocol.task_to_wire(SWEEP[0])],
             })
             client.close()
-            # A worker now connecting and leasing must find the pending
-            # point dropped (no waiters) rather than computing it.
+            # The disconnect must detach the request's waiters, so the
+            # pending point would be dropped rather than computed.
             with SweepClient(host.address) as probe:
                 wait_ready(host.address)
                 deadline = 50
@@ -427,99 +408,7 @@ class TestCancellation:
 
 
 # ----------------------------------------------------------------------
-# workers
-# ----------------------------------------------------------------------
-
-
-class TestWorkers:
-    def test_worker_serves_sweep_bit_identically(self):
-        expected = canonical(serial_payloads(SWEEP))
-        with ServiceThread(local_workers=0) as host:
-            agent = WorkerAgent(host.address, name="w0", batch=2)
-            thread = threading.Thread(target=agent.run, daemon=True)
-            thread.start()
-            with SweepClient(host.address) as client:
-                assert canonical(client.run_payloads(SWEEP)) == expected
-                stats = client.stats()["service"]
-            assert stats["computed"] == len(SWEEP)
-            assert stats["leases"] >= 1
-            assert stats["workers_seen"] == 1
-
-    def test_version_mismatch_rejected(self):
-        with ServiceThread(local_workers=0) as host:
-            with pytest.raises(WorkerRejected):
-                WorkerAgent(host.address, version="stale-code").run()
-            assert host.service.counters["version_rejects"] == 1
-
-    def test_worker_death_mid_lease_requeues(self):
-        """A worker that takes a lease and dies never loses the task —
-        and the eventual result is computed exactly once."""
-        tasks = SWEEP[:2]
-        expected = canonical(serial_payloads(tasks))
-        with ServiceThread(local_workers=0) as host:
-            outcome = {}
-
-            def client_side():
-                with SweepClient(host.address, timeout=60) as client:
-                    outcome["payloads"] = canonical(
-                        client.run_payloads(tasks))
-
-            client_thread = threading.Thread(target=client_side,
-                                             daemon=True)
-            client_thread.start()
-
-            # A doomed worker: hello, take the lease, drop dead.
-            doomed = protocol.connect(host.address, timeout=30)
-            doomed.send({"type": "worker-hello", "name": "doomed",
-                         "code_version": code_version(), "batch": 4})
-            assert doomed.recv()["type"] == "welcome"
-            lease = doomed.recv()
-            assert lease["type"] == "lease"
-            assert len(lease["jobs"]) >= 1
-            doomed.close()
-
-            # A live worker picks up the requeued tasks.
-            survivor = WorkerAgent(host.address, name="survivor")
-            survivor_thread = threading.Thread(target=survivor.run,
-                                               daemon=True)
-            survivor_thread.start()
-            client_thread.join(timeout=120)
-            assert not client_thread.is_alive()
-            assert outcome["payloads"] == expected
-            stats = host.service.counters
-            assert stats["requeues"] >= 1
-            # Exactly one completion per key despite the requeue.
-            assert stats["computed"] == len(tasks)
-
-    def test_worker_result_count_mismatch_is_protocol_error(self):
-        with ServiceThread(local_workers=0) as host:
-            done = {}
-
-            def client_side():
-                with SweepClient(host.address, timeout=60) as client:
-                    done["payloads"] = client.run_payloads(SWEEP[:1])
-
-            thread = threading.Thread(target=client_side, daemon=True)
-            thread.start()
-            bad = protocol.connect(host.address, timeout=30)
-            bad.send({"type": "worker-hello", "name": "bad",
-                      "code_version": code_version(), "batch": 4})
-            assert bad.recv()["type"] == "welcome"
-            lease = bad.recv()
-            bad.send({"type": "result", "lease": lease["lease"],
-                      "payloads": []})  # wrong count
-            # The service must requeue and eventually serve via a good
-            # worker.
-            good = WorkerAgent(host.address, name="good")
-            threading.Thread(target=good.run, daemon=True).start()
-            thread.join(timeout=120)
-            assert not thread.is_alive()
-            assert done["payloads"]
-            bad.close()
-
-
-# ----------------------------------------------------------------------
-# code-version seeding (satellite)
+# code-version seeding
 # ----------------------------------------------------------------------
 
 
@@ -532,21 +421,6 @@ class TestCodeVersionSeeding:
             assert code_version() == "feedfacecafebeef"
         finally:
             parallel_module._CODE_VERSION = saved
-
-    def test_environment_seed_wins(self, monkeypatch):
-        import repro.bench.parallel as parallel_module
-        saved = parallel_module._CODE_VERSION
-        try:
-            parallel_module._CODE_VERSION = None
-            monkeypatch.setenv("REPRO_CODE_VERSION", "0123456789abcdef")
-            assert code_version() == "0123456789abcdef"
-        finally:
-            parallel_module._CODE_VERSION = saved
-
-    def test_worker_agent_computes_version_once(self):
-        agent = WorkerAgent.__new__(WorkerAgent)
-        agent.version = code_version()
-        assert agent.version == code_version()  # cached, not re-hashed
 
 
 # ----------------------------------------------------------------------
